@@ -1,5 +1,6 @@
-//! Lookup cost of the EIA substrate: dynamic binary trie vs the frozen
-//! multi-bit-stride LPM compiled at snapshot publish.
+//! Lookup cost of the EIA substrate — dynamic binary trie vs the frozen
+//! multi-bit-stride LPM — and the price of the frozen structure's two
+//! write paths: a full compile and a single-prefix patch.
 //!
 //! Four contenders over the same synthetic peer table (see
 //! [`infilter_bench::synthetic_peer_table`]) at 10k / 100k / 1M prefixes:
@@ -12,9 +13,14 @@
 //! * `frozen_batch` — [`FrozenLpm::lookup_batch`] over the same column.
 //!
 //! Besides the criterion report, a manual pass writes ns/lookup, the
-//! frozen structure's bytes/prefix, and the frozen-vs-walker speedup to
+//! frozen structure's bytes/prefix, the frozen-vs-walker speedup, and per
+//! table size `compile_ms` ([`FrozenLpm::compile`], what boot and reload
+//! pay) and `insert_us` (median of 1 000 host-route
+//! [`FrozenLpm::insert`]s, what an adoption pays) to
 //! `crates/bench/BENCH_lpm.json` so CI can gate machine-readably (the
-//! acceptance bar: ≥ 3× over the walker and ≤ 32 bytes/prefix at 1M).
+//! acceptance bars: ≥ 3× over the walker and ≤ 32 bytes/prefix at 1M; a
+//! compile worth ≥ 100 inserts at 100k — a ratio within one run, so it
+//! holds on any host).
 //!
 //! Run with `cargo bench --bench lpm`; `-- --test` gives the CI smoke
 //! run. Results are recorded in EXPERIMENTS.md.
@@ -24,13 +30,15 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use infilter_bench::synthetic_peer_table;
 use infilter_core::PeerId;
-use infilter_net::{FrozenLpm, PrefixTrie};
+use infilter_net::{FrozenLpm, Prefix, PrefixTrie};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SIZES: &[usize] = &[10_000, 100_000, 1_000_000];
 const PROBES: usize = 65_536;
 const PEERS: u16 = 64;
+/// Host routes patched in per table for the `insert_us` figure.
+const INSERTS: usize = 1_000;
 
 struct Fixture {
     trie: PrefixTrie<PeerId>,
@@ -102,6 +110,50 @@ fn sweep_frozen_batch(f: &Fixture) -> u64 {
     acc
 }
 
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Milliseconds per full compile of the fixture's trie: median of `passes`.
+fn compile_ms(f: &Fixture, passes: usize) -> f64 {
+    median(
+        (0..passes)
+            .map(|_| {
+                let start = Instant::now();
+                black_box(FrozenLpm::compile(black_box(&f.trie)));
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect(),
+    )
+}
+
+/// Microseconds per single-prefix patch: median over [`INSERTS`] random
+/// host routes (the default adoption granularity) into a copy of the
+/// fixture's table, which must then agree with the trie that took the same
+/// inserts.
+fn insert_us(f: &Fixture) -> f64 {
+    let mut rng = StdRng::seed_from_u64(0xad09);
+    let mut trie = f.trie.clone();
+    let mut lpm = f.lpm.clone();
+    let samples = (0..INSERTS)
+        .map(|_| {
+            let host = Prefix::host(std::net::Ipv4Addr::from(rng.gen::<u32>()));
+            let peer = PeerId(rng.gen_range(0..PEERS));
+            trie.insert(host, peer);
+            let start = Instant::now();
+            black_box(lpm.insert(host, peer));
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    assert!(
+        lpm == FrozenLpm::compile(&trie),
+        "patched table diverges at {}",
+        f.lpm.len()
+    );
+    median(samples)
+}
+
 fn bench_lookup(c: &mut Criterion) {
     let mut group = c.benchmark_group("lpm_lookup");
     group.throughput(Throughput::Elements(PROBES as u64));
@@ -156,7 +208,8 @@ fn baseline_json(_c: &mut Criterion) {
         tables.push(format!(
             "    \"{}\": {{\n      \"trie\": {:.1},\n      \"walker_sorted\": {:.1},\n      \
              \"frozen\": {:.1},\n      \"frozen_batch\": {:.1},\n      \
-             \"bytes_per_prefix\": {:.1},\n      \"speedup_vs_walker\": {:.2}\n    }}",
+             \"bytes_per_prefix\": {:.1},\n      \"speedup_vs_walker\": {:.2},\n      \
+             \"compile_ms\": {:.2},\n      \"insert_us\": {:.2}\n    }}",
             size,
             best[0],
             best[1],
@@ -164,6 +217,8 @@ fn baseline_json(_c: &mut Criterion) {
             best[3],
             bytes_per_prefix,
             best[1] / best[3],
+            compile_ms(&f, passes),
+            insert_us(&f),
         ));
     }
     let json = format!(

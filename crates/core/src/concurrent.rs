@@ -15,8 +15,9 @@
 //!   behind its own mutex, so suspects from unrelated destinations never
 //!   contend. NNS search is read-only and runs outside any lock.
 //! * **Adoptions (rarest)** go through a single write-side [`EiaRegistry`]
-//!   that republishes the snapshot, batched by
-//!   [`ConcurrentConfig::adoption_publish_batch`].
+//!   and are patched into the published snapshot at once
+//!   ([`SnapshotCell::update`]): in place when no reader holds it,
+//!   copy-on-write when one does.
 //! * **Metrics** are relaxed [`AtomicU64`] counters with *sampled* latency
 //!   so `Instant::now()` stays off the per-flow path.
 
@@ -55,12 +56,6 @@ pub struct ConcurrentConfig {
     /// recording; counters are always exact). The default of 64 keeps the
     /// two `Instant::now()` reads off ~98% of flows.
     pub latency_sample_every: u64,
-    /// Republish the EIA snapshot after this many adoptions accumulate on
-    /// the write side. `1` (the default) publishes immediately — adopted
-    /// sources take the fast path on their very next flow, matching the
-    /// single-threaded analyzer. Larger batches amortise trie clones under
-    /// adoption churn at the cost of a detection lag.
-    pub adoption_publish_batch: u32,
 }
 
 impl Default for ConcurrentConfig {
@@ -68,16 +63,8 @@ impl Default for ConcurrentConfig {
         ConcurrentConfig {
             shards: 8,
             latency_sample_every: 64,
-            adoption_publish_batch: 1,
         }
     }
-}
-
-/// Authoritative EIA state plus unpublished-adoption count.
-#[derive(Debug)]
-struct WriteSide {
-    registry: EiaRegistry,
-    dirty: u32,
 }
 
 /// Mutable suspect-path state owned by one shard.
@@ -160,7 +147,7 @@ pub struct ConcurrentAnalyzer {
     /// Published read side of the EIA sets.
     eia: SnapshotCell<EiaSnapshot>,
     /// Authoritative write side (sightings, adoptions).
-    write_side: Mutex<WriteSide>,
+    write_side: Mutex<EiaRegistry>,
     shards: Vec<Mutex<Shard>>,
     model: Option<Arc<ClusterModel>>,
     metrics: ConcurrentMetrics,
@@ -189,7 +176,7 @@ impl ConcurrentAnalyzer {
             .collect();
         ConcurrentAnalyzer {
             eia: SnapshotCell::new(registry.snapshot()),
-            write_side: Mutex::new(WriteSide { registry, dirty: 0 }),
+            write_side: Mutex::new(registry),
             shards,
             model: model.map(Arc::new),
             metrics: ConcurrentMetrics::default(),
@@ -633,8 +620,10 @@ impl ConcurrentAnalyzer {
         })
     }
 
-    /// Write-side sighting; republishes the snapshot once enough adoptions
-    /// accumulate. Returns whether this sighting adopted the source.
+    /// Write-side sighting; an adoption is published before the lock is
+    /// released, so the adopted source takes the fast path on its very
+    /// next flow, as in the single-threaded analyzer. Returns whether this
+    /// sighting adopted the source.
     fn record_sighting(&self, ingress: PeerId, addr: std::net::Ipv4Addr) -> bool {
         // Adoption disabled: the registry would refuse the sighting anyway
         // (see `EiaRegistry::record_sighting`), so don't serialise every
@@ -642,35 +631,39 @@ impl ConcurrentAnalyzer {
         if self.cfg.adoption_threshold == 0 {
             return false;
         }
-        let mut ws = self.write_side.lock();
-        let adopted = ws.registry.record_sighting(ingress, addr);
-        if adopted {
-            ws.dirty += 1;
-            if ws.dirty >= self.ccfg.adoption_publish_batch.max(1) {
-                self.eia.publish(ws.registry.snapshot());
-                self.telemetry.record_republish();
-                ws.dirty = 0;
+        let mut registry = self.write_side.lock();
+        match registry.sight(ingress, addr) {
+            Some(adopted) => {
+                self.publish_adoption(adopted, ingress);
+                true
             }
+            None => false,
         }
-        adopted
+    }
+
+    /// Patches one adoption into the published snapshot (called with the
+    /// write-side lock held). Out of line: adoptions are rare next to
+    /// suspects, and the copy-on-write branch should not weigh on theirs.
+    #[cold]
+    #[inline(never)]
+    fn publish_adoption(&self, adopted: infilter_net::Prefix, ingress: PeerId) {
+        // Let go of this thread's cached handle first: with no other
+        // reader about (the daemon's single worker) the table is then
+        // patched in place instead of copied.
+        EIA_CACHE.with(|cache| {
+            cache
+                .borrow_mut()
+                .retain(|(cell, _)| *cell != self.eia.id())
+        });
+        self.eia.update(|snapshot| snapshot.adopt(adopted, ingress));
+        self.telemetry.record_republish();
     }
 
     /// Drains buffered adoption events off the write-side registry; see
     /// [`crate::Engine::adoption_events`]. Briefly takes the write-side
     /// lock, so callers should drain in batches, not per flow.
     pub fn adoption_events(&self, sink: &mut Vec<crate::AdoptionEvent>) {
-        self.write_side.lock().registry.drain_events(sink);
-    }
-
-    /// Publishes any adoptions still buffered below the batch threshold.
-    /// A no-op with the default batch of 1.
-    pub fn flush_adoptions(&self) {
-        let mut ws = self.write_side.lock();
-        if ws.dirty > 0 {
-            self.eia.publish(ws.registry.snapshot());
-            self.telemetry.record_republish();
-            ws.dirty = 0;
-        }
+        self.write_side.lock().drain_events(sink);
     }
 
     /// Replaces the write-side EIA registry wholesale and republishes its
@@ -680,12 +673,11 @@ impl ConcurrentAnalyzer {
     pub fn reload_eia(&self, mut eia: crate::EiaRegistry) -> usize {
         eia.set_adoption_threshold(self.cfg.adoption_threshold);
         eia.set_adoption_prefix_len(self.cfg.adoption_prefix_len);
-        let mut ws = self.write_side.lock();
-        ws.registry = eia;
-        ws.dirty = 0;
-        self.eia.publish(ws.registry.snapshot());
+        let mut registry = self.write_side.lock();
+        *registry = eia;
+        self.eia.publish(registry.snapshot());
         self.telemetry.record_republish();
-        let prefixes = ws.registry.prefix_count();
+        let prefixes = registry.prefix_count();
         self.telemetry.journal_event(JournalEvent::EiaReload {
             prefixes: prefixes.min(u32::MAX as usize) as u32,
         });
@@ -894,32 +886,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_publication_lags_until_flush() {
-        let mut eia = EiaRegistry::new(1);
-        eia.preload(PeerId(1), "3.0.0.0/11".parse().unwrap());
-        let analyzer = Trainer::new(AnalyzerConfig {
-            mode: Mode::Basic,
-            adoption_threshold: 1,
-            ..AnalyzerConfig::default()
-        })
-        .train_basic(eia);
-        let engine = ConcurrentAnalyzer::new(
-            analyzer,
-            ConcurrentConfig {
-                adoption_publish_batch: 100,
-                ..ConcurrentConfig::default()
-            },
-        );
-        // Adopt via the write side directly (Basic mode never forgives, so
-        // drive record_sighting by hand).
-        assert!(engine.record_sighting(PeerId(1), "77.1.2.3".parse().unwrap()));
-        // Not yet published...
-        assert_eq!(engine.eia_snapshot().adopted_count(), 0);
-        engine.flush_adoptions();
-        assert_eq!(engine.eia_snapshot().adopted_count(), 1);
-    }
-
-    #[test]
     fn reload_eia_republishes_immediately() {
         let engine = ConcurrentAnalyzer::new(bi_analyzer(), ConcurrentConfig::default());
         let spoofed = FlowRecord {
@@ -930,7 +896,6 @@ mod tests {
         let mut fresh = EiaRegistry::new(3);
         fresh.preload(PeerId(1), "9.0.0.0/11".parse().expect("static prefix"));
         assert_eq!(engine.reload_eia(fresh), 1);
-        // Readers see the new table without flush_adoptions.
         assert!(!engine.process(PeerId(1), &spoofed).is_attack());
     }
 

@@ -70,17 +70,21 @@ impl EiaVerdict {
     }
 }
 
-/// An immutable, point-in-time view of the EIA sets, compiled at publish
-/// time into a frozen multi-bit-stride LPM ([`FrozenLpm`]): a direct /16
-/// root table plus stride-8 nodes, so every classification costs at most
-/// three memory touches instead of up to 32 binary-trie node hops.
+/// A point-in-time view of the EIA sets as a frozen multi-bit-stride LPM
+/// ([`FrozenLpm`]): a direct /16 root table plus stride-8 nodes, so every
+/// classification costs at most three memory touches instead of up to 32
+/// binary-trie node hops.
 ///
 /// This is the read side of the concurrency split: snapshots are published
 /// behind an [`crate::SnapshotCell`] (the [`crate::ConcurrentAnalyzer`]
 /// case) or held directly by the single-threaded [`crate::Analyzer`], and
 /// classified against without any lock. Sightings and adoptions go through
-/// the authoritative [`EiaRegistry`] on the (rarely taken) write side,
-/// which recompiles a snapshot per publish.
+/// the authoritative [`EiaRegistry`] on the (rarely taken) write side. It
+/// compiles the snapshot once ([`EiaRegistry::snapshot`]: boot, reload);
+/// each adoption after that is patched into the published snapshot, which
+/// costs one /16 subtree instead of the whole table. Two snapshots are
+/// equal when they hold the same table and adoption count, however each
+/// was produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EiaSnapshot {
     lpm: FrozenLpm<PeerId>,
@@ -134,10 +138,17 @@ impl EiaSnapshot {
         self.adopted
     }
 
-    /// Every `(prefix, peer)` entry in the snapshot. [`FrozenLpm::compile`]
-    /// sorts entries canonically, so two snapshots over the same logical
-    /// table iterate identically regardless of insertion order — the
-    /// property store sealing and the bit-identity recovery tests rely on.
+    /// Applies one adoption, leaving the snapshot equal to what
+    /// [`EiaRegistry::snapshot`] compiles after the same adoption.
+    pub(crate) fn adopt(&mut self, prefix: Prefix, peer: PeerId) {
+        self.lpm.insert(prefix, peer);
+        self.adopted += 1;
+    }
+
+    /// Every `(prefix, peer)` entry in the snapshot, in canonical address
+    /// order: two snapshots over the same logical table iterate identically
+    /// regardless of insertion order — the property store sealing and the
+    /// bit-identity recovery tests rely on.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, PeerId)> + '_ {
         self.lpm.iter().map(|(p, v)| (p, *v))
     }
@@ -362,9 +373,9 @@ impl EiaRegistry {
     /// Compiles the current EIA sets into an immutable snapshot for
     /// lock-free readers: the dynamic trie is flattened into a
     /// [`FrozenLpm`] so every subsequent classification costs a constant
-    /// number of memory touches. This is the publish step of the
-    /// read/write split — called once per adoption batch or reload, then
-    /// amortised over millions of lookups.
+    /// number of memory touches. A full, canonical compile — O(table) —
+    /// for boot, warm restore and reload; the engines fold later adoptions
+    /// into the snapshot they already published instead of calling this.
     pub fn snapshot(&self) -> EiaSnapshot {
         EiaSnapshot {
             lpm: FrozenLpm::compile(&self.trie),
@@ -377,13 +388,20 @@ impl EiaRegistry {
     /// `true` if this sighting crossed the threshold and the source was
     /// adopted into `observed`'s EIA set.
     pub fn record_sighting(&mut self, observed: PeerId, addr: Ipv4Addr) -> bool {
+        self.sight(observed, addr).is_some()
+    }
+
+    /// [`EiaRegistry::record_sighting`], returning the range this sighting
+    /// adopted into `observed`'s EIA set — what the engines patch into
+    /// their published snapshot.
+    pub(crate) fn sight(&mut self, observed: PeerId, addr: Ipv4Addr) -> Option<Prefix> {
         if self.adoption_threshold == 0 {
-            return false;
+            return None;
         }
         // Already expected here (possibly via an earlier adoption): nothing
         // to learn, and no double adoption.
         if self.classify(observed, addr).is_match() {
-            return false;
+            return None;
         }
         let range = Prefix::host(addr).truncate(self.adoption_prefix_len);
         let count = self.sightings.entry((observed, range)).or_insert(0);
@@ -397,9 +415,9 @@ impl EiaRegistry {
                 prefix: range,
                 action: AdoptionAction::Adopted,
             });
-            true
+            Some(range)
         } else {
-            false
+            None
         }
     }
 }

@@ -78,10 +78,6 @@ pub trait Engine {
     /// preloaded prefix count now live.
     fn reload_eia(&mut self, eia: EiaRegistry) -> usize;
 
-    /// Publishes any adoptions still buffered below a publish batch.
-    /// A no-op for engines that publish eagerly.
-    fn flush_adoptions(&mut self) {}
-
     /// Drains the adoption/expiry events buffered on the EIA write side
     /// since the last drain, appending them to `sink` in occurrence order.
     /// This is the narrow hook persistence (`infilter-store`) observes
@@ -255,10 +251,6 @@ impl Engine for ConcurrentAnalyzer {
 
     fn reload_eia(&mut self, eia: EiaRegistry) -> usize {
         ConcurrentAnalyzer::reload_eia(self, eia)
-    }
-
-    fn flush_adoptions(&mut self) {
-        ConcurrentAnalyzer::flush_adoptions(self)
     }
 
     fn adoption_events(&mut self, sink: &mut Vec<AdoptionEvent>) {

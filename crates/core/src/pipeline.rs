@@ -479,10 +479,10 @@ impl Trainer {
 pub struct Analyzer {
     cfg: AnalyzerConfig,
     eia: EiaRegistry,
-    /// Frozen compilation of `eia` the hot path classifies against
-    /// (constant memory touches per lookup). Rebuilt whenever the registry
-    /// mutates: adoptions and reloads, the same cadence at which the
-    /// concurrent engine republishes its snapshot.
+    /// Frozen view of `eia` the hot path classifies against (constant
+    /// memory touches per lookup). Compiled at assembly and reload, patched
+    /// per adoption — the same points at which the concurrent engine
+    /// republishes its snapshot.
     eia_view: EiaSnapshot,
     scan: ScanAnalyzer,
     model: Option<ClusterModel>,
@@ -576,9 +576,9 @@ impl Analyzer {
         &self.eia
     }
 
-    /// The frozen EIA view the hot path classifies against. Recompiled on
-    /// every registry mutation (adoption, reload), so it always agrees
-    /// with [`Analyzer::eia`].
+    /// The frozen EIA view the hot path classifies against. Brought up to
+    /// date on every registry mutation (patched per adoption, recompiled on
+    /// reload), so it always agrees with [`Analyzer::eia`].
     pub fn eia_view(&self) -> &EiaSnapshot {
         &self.eia_view
     }
@@ -649,7 +649,7 @@ impl Analyzer {
         };
 
         // Stage 1: EIA set analysis against the frozen view (≤ 3 memory
-        // touches; recompiled on every adoption, so never stale).
+        // touches; patched on every adoption, so never stale).
         let eia_verdict = self.eia_view.classify(ingress, flow.src_addr);
         match eia_verdict {
             EiaVerdict::Match => {
@@ -914,11 +914,11 @@ impl Analyzer {
                 // Within normal behaviour: not an attack; count toward
                 // dynamic EIA adoption (§5.2(a)).
                 self.metrics.forgiven += 1;
-                if self.eia.record_sighting(ingress, flow.src_addr) {
-                    // The registry mutated: recompile the frozen view so
-                    // the very next flow classifies against the adoption,
+                if let Some(adopted) = self.eia.sight(ingress, flow.src_addr) {
+                    // The registry mutated: patch the frozen view so the
+                    // very next flow classifies against the adoption,
                     // exactly as the live trie would.
-                    self.eia_view = self.eia.snapshot();
+                    self.eia_view.adopt(adopted, ingress);
                     self.telemetry.note_snapshot_publish();
                     self.metrics.adoptions += 1;
                     self.telemetry.record_adoption(ingress);

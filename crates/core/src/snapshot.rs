@@ -2,13 +2,14 @@
 //!
 //! The EIA check is read-mostly: millions of classifications per adoption.
 //! [`SnapshotCell`] exploits that by keeping the current value behind an
-//! `Arc` that writers *replace* (copy-on-write) instead of mutating in
-//! place. Readers either clone the `Arc` under a briefly-held shared lock
-//! ([`SnapshotCell::load`]) or — on the per-flow hot path — validate a
-//! thread-cached `Arc` against a single relaxed-atomic version counter
-//! ([`SnapshotCell::load_cached`]), which costs one uncontended atomic load
-//! per flow in steady state: no lock, no reference-count traffic, no shared
-//! cache-line writes.
+//! `Arc` that writers replace ([`SnapshotCell::publish`]) or patch
+//! copy-on-write ([`SnapshotCell::update`]) — never mutating a value a
+//! reader holds. Readers either clone the `Arc` under a briefly-held
+//! shared lock ([`SnapshotCell::load`]) or — on the per-flow hot path —
+//! validate a thread-cached `Arc` against a single relaxed-atomic version
+//! counter ([`SnapshotCell::load_cached`]), which costs one uncontended
+//! atomic load per flow in steady state: no lock, no reference-count
+//! traffic, no shared cache-line writes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,7 +52,8 @@ impl<T> SnapshotCell<T> {
         self.id
     }
 
-    /// The current version; bumped by every [`SnapshotCell::publish`].
+    /// The current version; bumped by every [`SnapshotCell::publish`] and
+    /// [`SnapshotCell::update`].
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
@@ -96,6 +98,20 @@ impl<T> SnapshotCell<T> {
         self.version.fetch_add(1, Ordering::Release);
     }
 
+    /// Publishes a change to the current snapshot. When no reader holds it
+    /// the change is applied in place — no copy, no allocation; otherwise
+    /// to a private clone, and those readers keep the snapshot they hold,
+    /// exactly as with [`SnapshotCell::publish`]. Either way the version
+    /// moves, so caches refresh and mid-batch staleness checks fire.
+    pub fn update(&self, change: impl FnOnce(&mut T))
+    where
+        T: Clone,
+    {
+        let mut slot = self.slot.write();
+        change(Arc::make_mut(&mut slot));
+        self.version.fetch_add(1, Ordering::Release);
+    }
+
     /// Recovers the current value, consuming the cell.
     pub fn into_inner(self) -> Arc<T> {
         self.slot.into_inner()
@@ -132,6 +148,21 @@ mod tests {
         let a = SnapshotCell::new(0u8);
         let b = SnapshotCell::new(0u8);
         assert_ne!(a.id(), b.id());
+    }
+
+    #[test]
+    fn update_patches_in_place_unless_a_reader_holds_the_snapshot() {
+        let cell = SnapshotCell::new(vec![1, 2, 3]);
+        let before = Arc::as_ptr(&cell.load());
+        cell.update(|v| v.push(4));
+        assert_eq!(Arc::as_ptr(&cell.load()), before, "nobody looking: no copy");
+        assert_eq!(cell.version(), 1);
+
+        let held = cell.load();
+        cell.update(|v| v.push(5));
+        assert_eq!(*held, vec![1, 2, 3, 4], "the reader's table is untouched");
+        assert_eq!(*cell.load(), vec![1, 2, 3, 4, 5]);
+        assert_eq!(cell.version(), 2);
     }
 
     #[test]

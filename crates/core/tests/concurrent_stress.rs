@@ -266,14 +266,12 @@ fn arb_flow() -> impl Strategy<Value = (u16, FlowRecord)> {
         })
 }
 
-/// Single-threaded, with one shard and immediate adoption publication, the
-/// concurrent engine is *defined* to be verdict-equivalent to [`Analyzer`]
+/// Single-threaded and with one shard, the concurrent engine is *defined* to be verdict-equivalent to [`Analyzer`]
 /// — both run the same `scan_stage`/`nns_stage` code over the same state
 /// in the same order.
 fn parity_concurrent_config() -> ConcurrentConfig {
     ConcurrentConfig {
         shards: 1,
-        adoption_publish_batch: 1,
         ..ConcurrentConfig::default()
     }
 }

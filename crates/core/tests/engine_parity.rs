@@ -99,7 +99,6 @@ fn run_workload<E: Engine>(engine: &mut E) -> Vec<Verdict> {
     }
     let batch: Vec<FlowRecord> = (20..30).map(legal_flow).collect();
     verdicts.extend(engine.process_batch(PeerId(1), &batch));
-    engine.flush_adoptions();
     verdicts
 }
 
@@ -231,7 +230,6 @@ fn adoption_events_parity() {
         for _ in 0..engine.config().adoption_threshold {
             engine.process(PeerId(1), &spoofed_flow(1));
         }
-        engine.flush_adoptions();
         let mut sink = Vec::new();
         engine.adoption_events(&mut sink);
         let mut again = Vec::new();

@@ -211,7 +211,6 @@ pub fn run(cfg: ObserveConfig) -> ObserveReport {
             last_report = now;
         }
     }
-    engine.flush_adoptions();
     // Final interval: whatever moved since the last periodic snapshot.
     rates.push(reporter.observe(
         engine.metrics().named_counters(),

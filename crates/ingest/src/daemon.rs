@@ -315,10 +315,9 @@ fn worker_loop<E: Engine>(
             }
         }
         if let Some(reply) = finish {
-            // Stop the listeners first so the drain converges, then flush.
+            // Stop the listeners first so the drain converges.
             stop.store(true, Ordering::SeqCst);
             pump.drain();
-            pump.engine_mut().flush_adoptions();
             // Flush published adoption events and seal the final table so
             // the next boot replays exactly what this run adopted.
             pump.finish_store();
@@ -338,7 +337,6 @@ fn worker_loop<E: Engine>(
             // Shutdown without a Finish request (handle dropped): drain,
             // still seal the store, and exit so the join never hangs.
             pump.drain();
-            pump.engine_mut().flush_adoptions();
             pump.finish_store();
             return;
         }

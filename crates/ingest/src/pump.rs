@@ -172,9 +172,9 @@ impl<E: Engine> IngestPump<E> {
         if processed > 0 {
             self.metrics().record_processed(effort, processed as u64);
             self.spool_alerts();
-            // Adoption events surface at the engine's batched republish
-            // cadence, so this drain is almost always empty and costs one
-            // virtual call — the hot path never waits on a disk write.
+            // Adoptions are rare next to flows, so this drain is almost
+            // always empty and costs one virtual call — and the write
+            // happens here, after the batch, never inside the hot path.
             self.persist_adoptions();
         }
         processed
@@ -202,13 +202,12 @@ impl<E: Engine> IngestPump<E> {
     }
 
     /// Seals a snapshot of the engine's *published* table and drops the
-    /// log it supersedes. Publishes pending adoptions first so the sealed
-    /// snapshot covers every record the log held.
+    /// log it supersedes. Every adoption is published as it happens, so
+    /// the sealed snapshot covers every record the log held.
     fn compact_store(&mut self) {
         if self.store.is_none() {
             return;
         }
-        self.engine.flush_adoptions();
         self.persist_published_then(|side, entries, adopted| side.store.compact(entries, adopted));
     }
 

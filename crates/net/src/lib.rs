@@ -10,9 +10,10 @@
 //!   parsing and formatting.
 //! * [`PrefixTrie`] — a binary trie keyed by prefixes with longest-prefix
 //!   matching, the substrate for EIA sets and BGP RIBs.
-//! * [`FrozenLpm`] — an immutable multi-bit-stride compilation of a trie
-//!   (direct /16 root table + stride-8 nodes) for read-mostly hot paths:
-//!   ≤ 3 memory touches per lookup instead of ≤ 32 node hops.
+//! * [`FrozenLpm`] — a multi-bit-stride compilation of a trie (direct /16
+//!   root table + stride-8 nodes) for read-mostly hot paths: ≤ 3 memory
+//!   touches per lookup instead of ≤ 32 node hops, patchable one prefix at
+//!   a time without recompiling.
 //! * [`blocks`] — the Table 1 block scheme and the `1a..125h` notation.
 //! * [`Asn`] / [`RouterId`] — newtypes so autonomous-system numbers and
 //!   router identities cannot be confused with ordinary integers.

@@ -1,3 +1,4 @@
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use crate::{Prefix, PrefixTrie};
@@ -23,12 +24,13 @@ const NO_MATCH: u32 = 0x7FFF_FFFF;
 /// Any IPv4 lookup therefore costs at most three table touches before the
 /// final value read, regardless of how many prefixes are stored.
 ///
-/// The structure is immutable by construction — there is no insert. The
-/// intended pattern is read/write splitting: mutate a [`PrefixTrie`]
-/// (adoptions, reloads), then [`FrozenLpm::compile`] a fresh frozen view
-/// and publish it to readers. Results are identical to
-/// [`PrefixTrie::lookup`] on the source trie for every address, including
-/// default routes, host routes, and shadowed nested prefixes.
+/// The intended pattern is read/write splitting: a [`PrefixTrie`] stays
+/// the authoritative write side, [`FrozenLpm::compile`] builds the frozen
+/// view readers classify against (boot, reload), and single changes are
+/// patched in with [`FrozenLpm::insert`] — O(one /16 subtree), not
+/// O(table). Either way results are identical to [`PrefixTrie::lookup`] on
+/// the equivalent trie for every address, including default routes, host
+/// routes, and shadowed nested prefixes.
 ///
 /// # Examples
 ///
@@ -48,7 +50,7 @@ const NO_MATCH: u32 = 0x7FFF_FFFF;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct FrozenLpm<V> {
     /// Direct-index table over the top 16 address bits. Each entry is
     /// either a leaf result (index into `values`, or [`NO_MATCH`]) or, with
@@ -63,6 +65,23 @@ pub struct FrozenLpm<V> {
     prefixes: Vec<Prefix>,
     /// The stored values leaf results index into.
     values: Vec<V>,
+    /// `prefixes[..sorted]` are in canonical `(bits, len)` order, as
+    /// [`FrozenLpm::compile`] lays them down; [`FrozenLpm::insert`] appends
+    /// behind them so existing leaf results stay valid.
+    sorted: usize,
+    /// Indices of the appended entries in canonical order: what
+    /// [`FrozenLpm::iter`] merges with the sorted run.
+    tail: Vec<u32>,
+    /// Nodes and leaf words no lookup can reach any more (subtrees that
+    /// [`FrozenLpm::insert`] replaced). Compacted away once they outweigh
+    /// the reachable ones.
+    dead_nodes: usize,
+    dead_leaves: usize,
+}
+
+/// Canonical entry order: by network bits, shorter (covering) prefix first.
+fn key(p: Prefix) -> (u32, u8) {
+    (p.bits(), p.len())
 }
 
 /// One stride-8 node: 256 logical slots compressed behind two bitmaps.
@@ -99,11 +118,19 @@ impl<V: Clone> FrozenLpm<V> {
     /// Compiles the trie's current contents into a frozen structure.
     ///
     /// Cost is O(prefixes · log prefixes) for the sort plus O(expanded
-    /// slots) for the stride tables — milliseconds at a million prefixes —
-    /// which the read/write split pays once per publish, not per lookup.
+    /// slots) for the stride tables — tens of milliseconds at 100 000
+    /// prefixes — which the read/write split pays at boot and reload;
+    /// single changes go through [`FrozenLpm::insert`].
     pub fn compile(trie: &PrefixTrie<V>) -> FrozenLpm<V> {
-        let mut pairs: Vec<(Prefix, V)> = trie.iter().map(|(p, v)| (p, v.clone())).collect();
-        pairs.sort_unstable_by_key(|(p, _)| (p.bits(), p.len()));
+        FrozenLpm::from_pairs(trie.iter().map(|(p, v)| (p, v.clone())).collect())
+    }
+}
+
+impl<V> FrozenLpm<V> {
+    /// Builds the canonical structure over `pairs` (distinct prefixes, any
+    /// order): the one layout every table with these contents compiles to.
+    fn from_pairs(mut pairs: Vec<(Prefix, V)>) -> FrozenLpm<V> {
+        pairs.sort_unstable_by_key(|(p, _)| key(*p));
         // Prefix bits are canonical (host bits zero), so sorting by bits
         // groups every subtree into one contiguous range.
         let entries: Vec<Entry> = pairs
@@ -126,7 +153,7 @@ impl<V: Clone> FrozenLpm<V> {
 
         let mut nodes: Vec<LpmNode> = Vec::new();
         let mut leaves: Vec<u32> = Vec::new();
-        let mut queue: std::collections::VecDeque<Pending> = std::collections::VecDeque::new();
+        let mut queue: VecDeque<Pending> = VecDeque::new();
 
         // Prefixes longer than 16 bits each belong to exactly one root
         // slot; contiguous runs of the sorted entries share it.
@@ -151,10 +178,7 @@ impl<V: Clone> FrozenLpm<V> {
             });
             root[slot] = CHILD_FLAG | node;
         }
-
-        while let Some(p) = queue.pop_front() {
-            fill_node(p, &mut nodes, &mut leaves, &mut queue);
-        }
+        fill_queued(queue, &mut nodes, &mut leaves);
 
         nodes.shrink_to_fit();
         leaves.shrink_to_fit();
@@ -162,13 +186,158 @@ impl<V: Clone> FrozenLpm<V> {
             root,
             nodes,
             leaves,
+            sorted: prefixes.len(),
             prefixes,
             values,
+            tail: Vec::new(),
+            dead_nodes: 0,
+            dead_leaves: 0,
         }
     }
-}
 
-impl<V> FrozenLpm<V> {
+    /// Stores `value` under `prefix`, returning the value it replaces if
+    /// the prefix was already stored (as [`PrefixTrie::insert`] does).
+    /// Afterwards every lookup answers exactly as a [`FrozenLpm::compile`]
+    /// of the equivalent trie would.
+    ///
+    /// A replaced value is one store. A new prefix longer than /16 rebuilds
+    /// only the /16 root slot's subtree it falls under — the entries there,
+    /// a few hundred slots — and appends it; the subtree it supersedes
+    /// stays behind as garbage until it outweighs the reachable nodes, at
+    /// which point (and for the rare new prefix of /16 or shorter, which
+    /// repaints root ranges) the whole structure is rebuilt canonically.
+    /// That makes the cost amortised O(subtree), independent of table size.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use infilter_net::{FrozenLpm, PrefixTrie};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut t = PrefixTrie::new();
+    /// t.insert("10.0.0.0/8".parse()?, 1u32);
+    /// let mut lpm = FrozenLpm::compile(&t);
+    ///
+    /// assert_eq!(lpm.insert("10.1.2.3/32".parse()?, 2), None);
+    /// assert_eq!(lpm.lookup("10.1.2.3".parse()?).map(|(_, v)| *v), Some(2));
+    /// assert_eq!(lpm.lookup("10.1.2.4".parse()?).map(|(_, v)| *v), Some(1));
+    /// assert_eq!(lpm.insert("10.1.2.3/32".parse()?, 3), Some(2));
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn insert(&mut self, prefix: Prefix, value: V) -> Option<V> {
+        if let Some(i) = self.find(prefix) {
+            return Some(std::mem::replace(&mut self.values[i], value));
+        }
+        let index = self.values.len() as u32;
+        self.prefixes.push(prefix);
+        self.values.push(value);
+        if prefix.len() <= 16 {
+            self.rebuild();
+            return None;
+        }
+        let at = self
+            .tail
+            .partition_point(|&i| key(self.prefixes[i as usize]) < key(prefix));
+        self.tail.insert(at, index);
+
+        // The slot's entries with its new member: one contiguous range of
+        // the sorted run plus one of the tail.
+        let slot = (prefix.bits() >> 16) as usize;
+        let (lo, hi) = ((slot as u64) << 16, (slot as u64 + 1) << 16);
+        let sorted = &self.prefixes[..self.sorted];
+        let in_sorted = |limit: u64| sorted.partition_point(|p| u64::from(p.bits()) < limit);
+        let in_tail = |limit: u64| {
+            self.tail
+                .partition_point(|&i| u64::from(self.prefixes[i as usize].bits()) < limit)
+        };
+        let mut entries: Vec<Entry> = (in_sorted(lo) as u32..in_sorted(hi) as u32)
+            .chain(self.tail[in_tail(lo)..in_tail(hi)].iter().copied())
+            .map(|i| {
+                let p = self.prefixes[i as usize];
+                (p.bits(), p.len(), i)
+            })
+            .filter(|e| e.1 > 16)
+            .collect();
+        entries.sort_unstable_by_key(|e| (e.0, e.1));
+
+        // What the slot resolves to before any of `entries` applies. A leaf
+        // slot holds it; a child pointer overwrote it, so search for it.
+        let old = self.root[slot];
+        let inherited = if old & CHILD_FLAG == 0 {
+            old
+        } else {
+            let (nodes, leaves) = self.subtree_size(old & !CHILD_FLAG);
+            self.dead_nodes += nodes;
+            self.dead_leaves += leaves;
+            let network = Ipv4Addr::from(prefix.bits());
+            (0..=16)
+                .rev()
+                .find_map(|len| self.find(Prefix::new(network, len)))
+                .map_or(NO_MATCH, |i| i as u32)
+        };
+
+        let node = self.nodes.len() as u32;
+        self.nodes.push(LpmNode::placeholder());
+        let queue = VecDeque::from([Pending {
+            node,
+            depth: 16,
+            entries,
+            inherited,
+        }]);
+        fill_queued(queue, &mut self.nodes, &mut self.leaves);
+        self.root[slot] = CHILD_FLAG | node;
+
+        if self.dead_bytes() > self.node_bytes() - self.dead_bytes() {
+            self.rebuild();
+        }
+        None
+    }
+
+    /// Replaces `self` with the canonical structure over its own entries:
+    /// garbage gone, everything back in the sorted run.
+    fn rebuild(&mut self) {
+        let prefixes = std::mem::take(&mut self.prefixes);
+        let values = std::mem::take(&mut self.values);
+        *self = FrozenLpm::from_pairs(prefixes.into_iter().zip(values).collect());
+    }
+
+    /// The index `prefix` is stored at, if it is stored.
+    fn find(&self, prefix: Prefix) -> Option<usize> {
+        let want = key(prefix);
+        let sorted = &self.prefixes[..self.sorted];
+        sorted
+            .binary_search_by_key(&want, |p| key(*p))
+            .ok()
+            .or_else(|| {
+                let stored = |&i: &u32| key(self.prefixes[i as usize]);
+                let at = self.tail.binary_search_by_key(&want, stored).ok()?;
+                Some(self.tail[at] as usize)
+            })
+    }
+
+    /// Nodes and leaf words in the subtree rooted at `node`.
+    fn subtree_size(&self, node: u32) -> (usize, usize) {
+        let n = &self.nodes[node as usize];
+        let ones = |bitmap: &[u64; 4]| bitmap.iter().map(|w| w.count_ones()).sum::<u32>();
+        (0..ones(&n.child_bitmap)).fold((1, ones(&n.leaf_bitmap) as usize), |size, child| {
+            let (nodes, leaves) = self.subtree_size(n.child_base + child);
+            (size.0 + nodes, size.1 + leaves)
+        })
+    }
+
+    /// Bytes of the node and leaf arrays, garbage included.
+    fn node_bytes(&self) -> usize {
+        self.nodes.len() * std::mem::size_of::<LpmNode>()
+            + self.leaves.len() * std::mem::size_of::<u32>()
+    }
+
+    /// The part of [`FrozenLpm::node_bytes`] no lookup can reach.
+    fn dead_bytes(&self) -> usize {
+        self.dead_nodes * std::mem::size_of::<LpmNode>()
+            + self.dead_leaves * std::mem::size_of::<u32>()
+    }
+
     /// Longest-prefix match for `addr`: the most specific stored prefix
     /// containing it, with its value. Identical to [`PrefixTrie::lookup`]
     /// on the source trie.
@@ -236,26 +405,54 @@ impl<V> FrozenLpm<V> {
         self.values.is_empty()
     }
 
-    /// Stride-8 interior nodes allocated below the root table.
+    /// Stride-8 interior nodes allocated below the root table (including
+    /// any [`FrozenLpm::insert`] has superseded but not yet compacted).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Approximate resident bytes across all five arrays (the fixed 256 KiB
+    /// Approximate resident bytes across all arrays (the fixed 256 KiB
     /// root table, nodes, compressed leaves, stored prefixes and values).
+    /// Counts what is allocated, so subtrees [`FrozenLpm::insert`] has
+    /// superseded but not yet compacted are included — at most as much
+    /// again as the reachable nodes and leaves.
     pub fn approx_bytes(&self) -> usize {
-        self.root.len() * std::mem::size_of::<u32>()
-            + self.nodes.len() * std::mem::size_of::<LpmNode>()
-            + self.leaves.len() * std::mem::size_of::<u32>()
+        (self.root.len() + self.tail.len()) * std::mem::size_of::<u32>()
+            + self.node_bytes()
             + self.prefixes.len() * std::mem::size_of::<Prefix>()
             + self.values.len() * std::mem::size_of::<V>()
     }
 
-    /// Iterates over all stored `(prefix, value)` pairs in address order.
+    /// Iterates over all stored `(prefix, value)` pairs in canonical
+    /// address order, however they got in: the sorted run merged with the
+    /// inserted tail.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &V)> {
-        self.prefixes.iter().copied().zip(self.values.iter())
+        let mut sorted = (0..self.sorted).peekable();
+        let mut tail = self.tail.iter().map(|&i| i as usize).peekable();
+        std::iter::from_fn(move || {
+            let i = match (sorted.peek(), tail.peek()) {
+                (Some(&s), Some(&t)) if key(self.prefixes[t]) < key(self.prefixes[s]) => {
+                    tail.next()
+                }
+                (Some(_), _) => sorted.next(),
+                (None, _) => tail.next(),
+            }?;
+            Some((self.prefixes[i], &self.values[i]))
+        })
     }
 }
+
+/// Two structures are equal when they hold the same table: the same
+/// `(prefix, value)` entries, however each was built. (Compiled tables with
+/// equal entries are also bit-identical; patched ones carry garbage and an
+/// insertion-ordered tail that say nothing about the table.)
+impl<V: PartialEq> PartialEq for FrozenLpm<V> {
+    fn eq(&self, other: &FrozenLpm<V>) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl<V: Eq> Eq for FrozenLpm<V> {}
 
 impl<V: Clone> From<&PrefixTrie<V>> for FrozenLpm<V> {
     fn from(trie: &PrefixTrie<V>) -> FrozenLpm<V> {
@@ -298,6 +495,13 @@ impl LpmNode {
     }
 }
 
+/// Fills every queued node, and the children each one queues in turn.
+fn fill_queued(mut queue: VecDeque<Pending>, nodes: &mut Vec<LpmNode>, leaves: &mut Vec<u32>) {
+    while let Some(p) = queue.pop_front() {
+        fill_node(p, nodes, leaves, &mut queue);
+    }
+}
+
 /// Fills one queued node: expands its 256 slots from the inherited result
 /// plus covering prefixes (leaf pushing), splits off child groups for
 /// still-longer prefixes, and run-compresses the slots into the shared
@@ -306,7 +510,7 @@ fn fill_node(
     p: Pending,
     nodes: &mut Vec<LpmNode>,
     leaves: &mut Vec<u32>,
-    queue: &mut std::collections::VecDeque<Pending>,
+    queue: &mut VecDeque<Pending>,
 ) {
     let Pending {
         node,

@@ -28,6 +28,67 @@ fn arb_nested_set() -> impl Strategy<Value = Vec<Prefix>> {
         })
 }
 
+/// `(prefix, value)` pairs in the order they are inserted.
+type Inserts = Vec<(Prefix, u32)>;
+
+/// A starting table and an insert sequence drawn from one nested cluster
+/// (see [`arb_nested_set`]), so inserts land under populated /16 slots,
+/// beside dense sibling runs, above them as covering prefixes — and, when
+/// the flag is set, on a prefix stored earlier: an overwrite.
+fn arb_clustered_inserts() -> impl Strategy<Value = (Inserts, Inserts)> {
+    let tweak = || (any::<u16>(), 0u8..=32, any::<u32>(), any::<bool>());
+    (
+        any::<u32>(),
+        proptest::collection::vec(tweak(), 0..48),
+        proptest::collection::vec(tweak(), 1..48),
+    )
+        .prop_map(|(base, table, inserts)| {
+            let mut seen: Vec<Prefix> = Vec::new();
+            let mut resolve = |tweaks: Vec<(u16, u8, u32, bool)>| -> Inserts {
+                tweaks
+                    .into_iter()
+                    .map(|(delta, len, value, again)| {
+                        let fresh = Prefix::new(Ipv4Addr::from(base ^ u32::from(delta)), len);
+                        let prefix = match seen.len() {
+                            n if again && n > 0 => seen[usize::from(delta) % n],
+                            _ => fresh,
+                        };
+                        seen.push(prefix);
+                        (prefix, value)
+                    })
+                    .collect()
+            };
+            let table = resolve(table);
+            (table, resolve(inserts))
+        })
+}
+
+/// Patches `inserts` one by one into a [`FrozenLpm`] compiled from `table`
+/// and holds it, after every step, to a fresh compile of the same trie: on
+/// `iter()`, on equality, and on every stored prefix's bounds and the
+/// addresses just outside them.
+fn assert_patched_matches_compiled(table: Inserts, inserts: Inserts) {
+    let mut trie: PrefixTrie<u32> = table.into_iter().collect();
+    let mut patched = FrozenLpm::compile(&trie);
+    for (prefix, value) in inserts {
+        assert_eq!(patched.insert(prefix, value), trie.insert(prefix, value));
+        let compiled = FrozenLpm::compile(&trie);
+        assert!(patched.iter().eq(compiled.iter()), "iter() after {prefix}");
+        assert!(patched == compiled && patched.len() == trie.len());
+        for (p, _) in compiled.iter() {
+            let (first, last) = (u32::from(p.first()), u32::from(p.last()));
+            for bits in [first.wrapping_sub(1), first, last, last.wrapping_add(1)] {
+                assert_eq!(
+                    patched.lookup_bits(bits).map(|(p, v)| (p, *v)),
+                    compiled.lookup_bits(bits).map(|(p, v)| (p, *v)),
+                    "lookup of {} after inserting {prefix}",
+                    Ipv4Addr::from(bits)
+                );
+            }
+        }
+    }
+}
+
 /// Oracle: linear scan for the most specific containing prefix.
 fn naive_lpm(table: &HashMap<Prefix, u32>, addr: Ipv4Addr) -> Option<(Prefix, u32)> {
     table
@@ -147,6 +208,21 @@ proptest! {
             .map(|&b| lpm.lookup_bits(b).map(|(_, v)| *v))
             .collect();
         prop_assert_eq!(batched, scalar);
+    }
+
+    #[test]
+    fn patched_frozen_lpm_matches_compile_on_clustered_inserts(
+        (table, inserts) in arb_clustered_inserts(),
+    ) {
+        assert_patched_matches_compiled(table, inserts);
+    }
+
+    #[test]
+    fn patched_frozen_lpm_matches_compile_on_scattered_inserts(
+        table in proptest::collection::vec((arb_prefix(), any::<u32>()), 0..64),
+        inserts in proptest::collection::vec((arb_prefix(), any::<u32>()), 1..32),
+    ) {
+        assert_patched_matches_compiled(table, inserts);
     }
 
     #[test]

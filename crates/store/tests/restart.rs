@@ -36,7 +36,7 @@ fn fresh_registry() -> EiaRegistry {
 /// Drives enough sightings through `live` to adopt `n` distinct /24s
 /// (disjoint per peer — adoption overwrites across peers otherwise),
 /// draining the resulting events into `store` as the daemon's write side
-/// would at each batched republish.
+/// does after a pump step.
 fn adopt_prefixes<S: EiaStore>(live: &mut EiaRegistry, store: &mut S, peer: u16, n: u8) {
     let mut events = Vec::new();
     for block in 0..n {
