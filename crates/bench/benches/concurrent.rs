@@ -1,12 +1,9 @@
-//! Throughput of the concurrent analyzer designs at 1, 4 and 8 threads.
+//! Throughput of [`ConcurrentAnalyzer`] at 1, 4 and 8 threads.
 //!
 //! Measures flows/second over a ≥99%-legal mix (the deployment regime:
-//! almost every flow takes the EIA fast path) for
-//!
-//! * `mutex` — one [`Analyzer`] behind a global lock (the pre-sharding
-//!   design): added threads serialise; and
-//! * `sharded` — [`ConcurrentAnalyzer`]: lock-free snapshot EIA check plus
-//!   sharded suspect state, which is expected to scale near-linearly.
+//! almost every flow takes the EIA fast path): lock-free snapshot EIA
+//! check plus sharded suspect state, which is expected to scale
+//! near-linearly.
 //!
 //! Run with `cargo bench --bench concurrent`; `-- --test` gives the CI
 //! smoke run. Results are recorded in EXPERIMENTS.md.
@@ -15,12 +12,11 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use infilter_core::{
-    Analyzer, AnalyzerConfig, ConcurrentAnalyzer, ConcurrentConfig, EiaRegistry, Mode, PeerId,
-    Trainer, Verdict,
+    AnalyzerConfig, ConcurrentAnalyzer, ConcurrentConfig, EiaRegistry, Mode, PeerId, Trainer,
+    Verdict,
 };
 use infilter_netflow::FlowRecord;
 use infilter_nns::NnsParams;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -135,19 +131,6 @@ fn bench_mode(c: &mut Criterion, label: &str, mode: Mode) {
     group.sample_size(10);
 
     for &threads in &THREAD_COUNTS {
-        let mutexed: Mutex<Analyzer> = Mutex::new(train(mode));
-        group.bench_with_input(
-            BenchmarkId::new("mutex", threads),
-            &threads,
-            |b, &threads| {
-                b.iter_custom(|iters| {
-                    (0..iters)
-                        .map(|_| timed_run(threads, &flows, |p, f| mutexed.lock().process(p, f)))
-                        .sum()
-                });
-            },
-        );
-
         let sharded = ConcurrentAnalyzer::new(train(mode), ConcurrentConfig::default());
         group.bench_with_input(
             BenchmarkId::new("sharded", threads),

@@ -17,7 +17,7 @@ fn bench_mixed(c: &mut Criterion) {
         ("basic_infilter", Mode::Basic),
         ("enhanced_infilter", Mode::Enhanced),
     ] {
-        let (mut analyzer, stream) = analyzer_with_stream(mode, 7);
+        let (analyzer, stream) = analyzer_with_stream(mode, 7);
         let mut idx = 0usize;
         group.bench_function(name, |b| {
             b.iter(|| {
@@ -39,7 +39,7 @@ fn bench_suspect_path(c: &mut Criterion) {
         ("basic_infilter", Mode::Basic),
         ("enhanced_infilter", Mode::Enhanced),
     ] {
-        let (mut analyzer, _) = analyzer_with_stream(mode, 7);
+        let (analyzer, _) = analyzer_with_stream(mode, 7);
         // Sources from peer AS2's space (13e = 15.160/11) arriving at peer 1.
         let suspects: Vec<FlowRecord> = infilter_bench::flow_batch(4096, 99)
             .into_iter()

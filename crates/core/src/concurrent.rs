@@ -1,15 +1,18 @@
-//! Concurrent flow processing: the sharded, lock-free fast path.
+//! The Figure-12 pipeline (§5.1.3(e)): EIA check → Scan Analysis → NNS →
+//! forgive/adopt or alert. This is the repository's one implementation of
+//! it; [`crate::Analyzer`] is this engine with one shard.
 //!
 //! The paper's Figure 9 deployment feeds one analysis module from several
 //! Flow-tools instances at once. An earlier design serialised them behind
 //! one global mutex, so adding collector threads added contention instead
-//! of throughput. [`ConcurrentAnalyzer`] restructures the engine around
-//! what the workload actually is — read-mostly:
+//! of throughput. [`ConcurrentAnalyzer`] is built around what the workload
+//! actually is — read-mostly:
 //!
 //! * **EIA check (every flow)** runs against an immutable [`EiaSnapshot`]
 //!   published through a [`SnapshotCell`] and cached per thread, so the
-//!   hot path costs one relaxed atomic load and a trie lookup — no lock,
-//!   no shared cache-line write.
+//!   hot path costs one relaxed atomic load and a
+//!   [`FrozenLpm`](infilter_net::FrozenLpm) lookup (≤ 3 memory touches) —
+//!   no lock, no shared cache-line write.
 //! * **Suspect analysis (rare)** is sharded by `(input_if, dst_addr)`:
 //!   each shard owns its own [`ScanAnalyzer`] buffer and alert queue
 //!   behind its own mutex, so suspects from unrelated destinations never
@@ -22,8 +25,10 @@
 //!   so `Instant::now()` stays off the per-flow path.
 
 use std::cell::RefCell;
+use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use infilter_netflow::{FlowBatch, FlowRecord};
 use infilter_nns::BitVec;
@@ -48,9 +53,10 @@ use crate::{
 pub struct ConcurrentConfig {
     /// Suspect-path shards. Each shard has its own scan buffer and alert
     /// queue; suspects are routed by a hash of `(input_if, dst_addr)`.
-    /// `1` reproduces the single-threaded [`Analyzer`]'s scan semantics
-    /// exactly; higher values trade a wider effective network-scan
-    /// threshold (distinct ports land on distinct shards) for parallelism.
+    /// `1` (what [`Analyzer`] runs) is the paper's scan semantics exactly:
+    /// one buffer sees every suspect. Higher values trade a wider effective
+    /// network-scan threshold (one port probed across many destinations
+    /// lands on many shards) for parallelism.
     pub shards: usize,
     /// Record per-flow latency on every N-th flow (`0` disables latency
     /// recording; counters are always exact). The default of 64 keeps the
@@ -74,6 +80,27 @@ struct Shard {
     alerts: Vec<IdmefAlert>,
 }
 
+fn new_shards(shards: usize, scan: crate::ScanConfig) -> Vec<Mutex<Shard>> {
+    assert!(shards > 0, "at least one shard is required");
+    (0..shards)
+        .map(|_| {
+            Mutex::new(Shard {
+                scan: ScanAnalyzer::new(scan),
+                alerts: Vec::new(),
+            })
+        })
+        .collect()
+}
+
+/// What the engine does to every registry it is handed, at boot and at
+/// reload alike: the adoption policy follows the analyzer config, and the
+/// write-side trie gives back the slack its bulk build left.
+fn take_over(cfg: &crate::AnalyzerConfig, registry: &mut EiaRegistry) {
+    registry.set_adoption_threshold(cfg.adoption_threshold);
+    registry.set_adoption_prefix_len(cfg.adoption_prefix_len);
+    registry.shrink_to_fit();
+}
+
 /// Thread-local snapshot caches, keyed by [`SnapshotCell::id`] so caches
 /// never leak across analyzers. Capped: a thread touching many analyzers
 /// evicts oldest-first rather than growing without bound.
@@ -90,10 +117,6 @@ thread_local! {
     /// Per-thread batch-path scratch: the precomputed EIA verdicts for
     /// `process_flow_batch_into`. Cleared on every use.
     static BATCH_SCRATCH: RefCell<Vec<EiaVerdict>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread column buffer for the record-slice batch entry point.
-    /// Taken (not borrowed) for the duration of a batch so the flow-batch
-    /// path can use `BATCH_SCRATCH` freely.
-    static BATCH_COLUMNS: RefCell<FlowBatch> = RefCell::new(FlowBatch::new());
     /// Per-thread NNS memo, keyed by the owning model. The key holds a
     /// clone of the model `Arc` — not just its address — so a dropped
     /// model's allocation can never be recycled into a new model that
@@ -156,32 +179,41 @@ pub struct ConcurrentAnalyzer {
 }
 
 impl ConcurrentAnalyzer {
-    /// Builds the concurrent engine from a trained [`Analyzer`]. Pending
-    /// alerts on the analyzer are dropped; drain them first if they
-    /// matter. The alert id sequence carries over.
+    /// Re-shards a trained [`Analyzer`]: the EIA tables (write side and
+    /// published snapshot), the model, the configuration and the alert id
+    /// sequence carry over; scan state, counters, telemetry and pending
+    /// alerts start fresh — drain the alerts first if they matter.
     ///
     /// # Panics
     ///
     /// Panics if `ccfg.shards` is zero.
     pub fn new(analyzer: Analyzer, ccfg: ConcurrentConfig) -> ConcurrentAnalyzer {
-        assert!(ccfg.shards > 0, "at least one shard is required");
-        let (cfg, registry, model, next_alert_id) = analyzer.into_parts();
-        let shards = (0..ccfg.shards)
-            .map(|_| {
-                Mutex::new(Shard {
-                    scan: ScanAnalyzer::new(cfg.scan),
-                    alerts: Vec::new(),
-                })
-            })
-            .collect();
+        let one = analyzer.0;
+        ConcurrentAnalyzer {
+            shards: new_shards(ccfg.shards, one.cfg.scan),
+            metrics: ConcurrentMetrics::default(),
+            telemetry: PipelineTelemetry::new(one.cfg.telemetry, ccfg.shards),
+            ccfg,
+            ..one
+        }
+    }
+
+    /// Builds an engine from the training phase's outputs.
+    pub(crate) fn assemble(
+        cfg: crate::AnalyzerConfig,
+        mut registry: EiaRegistry,
+        model: Option<ClusterModel>,
+        ccfg: ConcurrentConfig,
+    ) -> ConcurrentAnalyzer {
+        take_over(&cfg, &mut registry);
         ConcurrentAnalyzer {
             eia: SnapshotCell::new(registry.snapshot()),
             write_side: Mutex::new(registry),
-            shards,
+            shards: new_shards(ccfg.shards, cfg.scan),
             model: model.map(Arc::new),
             metrics: ConcurrentMetrics::default(),
             telemetry: PipelineTelemetry::new(cfg.telemetry, ccfg.shards),
-            alert_seq: AtomicU64::new(next_alert_id),
+            alert_seq: AtomicU64::new(0),
             cfg,
             ccfg,
         }
@@ -190,11 +222,6 @@ impl ConcurrentAnalyzer {
     /// The analyzer configuration in force.
     pub fn config(&self) -> &crate::AnalyzerConfig {
         &self.cfg
-    }
-
-    /// The concurrency configuration in force.
-    pub fn concurrent_config(&self) -> &ConcurrentConfig {
-        &self.ccfg
     }
 
     /// A point-in-time copy of the counters (see
@@ -245,9 +272,11 @@ impl ConcurrentAnalyzer {
         self.process_with_effort(ingress, flow, Effort::Full)
     }
 
-    /// [`ConcurrentAnalyzer::process`] at an explicit degradation rung (see
-    /// [`Effort`]): the ingest daemon's load-shedding ladder calls this with
-    /// the rung its queue watermarks selected.
+    /// [`ConcurrentAnalyzer::process`] at an explicit degradation rung: at
+    /// [`Effort::SkipNns`] scan-pass suspects are cleared without the NNS
+    /// search (and without counting toward adoption); at
+    /// [`Effort::BiOnly`] every suspect is flagged directly, as Basic
+    /// InFilter would.
     pub fn process_with_effort(
         &self,
         ingress: PeerId,
@@ -258,8 +287,10 @@ impl ConcurrentAnalyzer {
         self.process_counted(n, ingress, flow, effort)
     }
 
-    /// The per-flow pipeline after the flow counter; see the single-threaded
-    /// [`Analyzer`]'s equivalent for the contract on `n`.
+    /// The per-flow pipeline after the flow counter: `n` is this flow's
+    /// global sequence number (what latency sampling and the flight
+    /// recorder gate on). The batch path bulk-advances the counter and
+    /// calls this only for flows that fall off its precomputed fast path.
     fn process_counted(
         &self,
         n: u64,
@@ -267,38 +298,20 @@ impl ConcurrentAnalyzer {
         flow: &FlowRecord,
         effort: Effort,
     ) -> Verdict {
-        let sample = self.ccfg.latency_sample_every;
-        let started = if sample != 0 && n.is_multiple_of(sample) {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
+        let started = self.latency_sampled(n).then(Instant::now);
 
-        // Stage 1: lock-free EIA check against the cached snapshot.
-        let snapshot = self.cached_snapshot();
-        let eia_verdict = snapshot.classify(ingress, flow.src_addr);
-        drop(snapshot);
+        // Stage 1: lock-free EIA check against the cached snapshot. A
+        // statement of its own, so the snapshot handle is released before
+        // the suspect path may want to patch the table in place.
+        let eia_verdict = self.cached_snapshot().classify(ingress, flow.src_addr);
         match eia_verdict {
             EiaVerdict::Match => {
                 ConcurrentMetrics::bump(&self.metrics.eia_match);
-                let mut elapsed_ns = 0;
-                if let Some(started) = started {
-                    let elapsed = started.elapsed();
-                    elapsed_ns = saturating_nanos(elapsed);
-                    self.metrics.fast_path.record(elapsed);
-                    self.telemetry.observe_fast_latency(elapsed_ns);
-                }
-                if self.telemetry.fast_sample_due(n) {
-                    self.telemetry.record_fast_path(
-                        self.shard_for(flow),
-                        ingress,
-                        flow,
-                        elapsed_ns,
-                    );
-                }
-                Verdict::Legal
+                self.legal(n, ingress, started.map(|s| s.elapsed()), || *flow)
             }
-            EiaVerdict::Mismatch { expected } => self.suspect_counted(
+            // Every per-flow suspect is recorded in full; only the batch
+            // loop samples (see `SuspectRecord`).
+            EiaVerdict::Mismatch { expected } => self.suspect_path(
                 started,
                 ingress,
                 flow,
@@ -309,11 +322,45 @@ impl ConcurrentAnalyzer {
         }
     }
 
-    /// Stages 2–3 plus alerting and suspect telemetry for one EIA-suspect
-    /// flow; the concurrent twin of the single-threaded suspect path.
-    fn suspect_counted(
+    /// Whether flow number `n` records its latency.
+    #[inline]
+    fn latency_sampled(&self, n: u64) -> bool {
+        let sample = self.ccfg.latency_sample_every;
+        sample != 0 && n.is_multiple_of(sample)
+    }
+
+    /// The EIA-match arm (Figure 12 case b), minus the `eia_match` counter,
+    /// which the batch loop bumps in bulk: sampled latency, sampled
+    /// flight-recorder entry. `flow` materialises the record only when the
+    /// recorder wants it.
+    #[inline]
+    fn legal(
         &self,
-        started: Option<std::time::Instant>,
+        n: u64,
+        ingress: PeerId,
+        elapsed: Option<Duration>,
+        flow: impl FnOnce() -> FlowRecord,
+    ) -> Verdict {
+        let mut elapsed_ns = 0;
+        if let Some(elapsed) = elapsed {
+            elapsed_ns = saturating_nanos(elapsed);
+            self.metrics.fast_path.record(elapsed);
+            self.telemetry.observe_fast_latency(elapsed_ns);
+        }
+        if self.telemetry.fast_sample_due(n) {
+            let flow = flow();
+            self.telemetry
+                .record_fast_path(self.shard_for(&flow), ingress, &flow, elapsed_ns);
+        }
+        Verdict::Legal
+    }
+
+    /// Stages 2–3 plus alerting and suspect telemetry for one EIA-suspect
+    /// flow. `started` carries the latency-sampling decision (and start
+    /// time) made by the caller.
+    fn suspect_path(
+        &self,
+        started: Option<Instant>,
         ingress: PeerId,
         flow: &FlowRecord,
         expected: Option<PeerId>,
@@ -322,14 +369,17 @@ impl ConcurrentAnalyzer {
     ) -> Verdict {
         ConcurrentMetrics::bump(&self.metrics.eia_suspect);
         let observe = record.observed();
-        // Per-flow suspects are rare enough to always time when telemetry
-        // is on; the batch path samples instead (`SuspectRecord::Light`).
-        // The sampled `AtomicStageLatency` stays gated on `started` so its
-        // semantics (1-in-N) are unchanged.
+        // Per-flow suspects are rare and slow, so when telemetry is on they
+        // are all timed, not just the latency-sampled ones (the histogram
+        // needs the tail); the batch loop samples instead
+        // (`SuspectRecord::Light`). `metrics.suspect_path` stays gated on
+        // `started`, so it keeps its 1-in-N semantics.
         let suspect_started =
-            started.or_else(|| (observe && self.telemetry.enabled()).then(std::time::Instant::now));
+            started.or_else(|| (observe && self.telemetry.enabled()).then(Instant::now));
         let (verdict, observed) = match (self.cfg.mode, effort) {
             (Mode::Basic, _) | (Mode::Enhanced, Effort::BiOnly) => {
+                // BI (or the deepest degradation rung) flags every suspect
+                // directly.
                 ConcurrentMetrics::bump(&self.metrics.eia_attacks);
                 (
                     Verdict::Attack(AttackStage::EiaMismatch { expected }),
@@ -368,53 +418,21 @@ impl ConcurrentAnalyzer {
         verdict
     }
 
-    /// Processes a batch of flows from one ingress — the natural unit a
-    /// NetFlow export packet yields — amortising the snapshot lookup.
-    pub fn process_batch(&self, ingress: PeerId, flows: &[FlowRecord]) -> Vec<Verdict> {
-        self.process_batch_with_effort(ingress, flows, Effort::Full)
-    }
-
-    /// [`ConcurrentAnalyzer::process_batch`] at an explicit degradation
-    /// rung.
-    pub fn process_batch_with_effort(
-        &self,
-        ingress: PeerId,
-        flows: &[FlowRecord],
-        effort: Effort,
-    ) -> Vec<Verdict> {
-        let mut out = Vec::with_capacity(flows.len());
-        self.process_batch_into(ingress, flows, effort, &mut out);
-        out
-    }
-
-    /// Record-slice batch entry point: transposes into a per-thread column
-    /// buffer and runs the grouped batch path, appending verdicts to `out`.
-    pub fn process_batch_into(
-        &self,
-        ingress: PeerId,
-        flows: &[FlowRecord],
-        effort: Effort,
-        out: &mut Vec<Verdict>,
-    ) {
-        let mut batch = BATCH_COLUMNS.with(|b| std::mem::take(&mut *b.borrow_mut()));
-        batch.clear();
-        batch.extend_from_records(flows);
-        self.process_flow_batch_into(ingress, &batch, effort, out);
-        BATCH_COLUMNS.with(|b| *b.borrow_mut() = batch);
-    }
-
-    /// Batch-first hot path over a struct-of-arrays [`FlowBatch`]: the
-    /// concurrent twin of the single-threaded analyzer's grouped EIA pass.
+    /// Batch-first hot path: classifies a struct-of-arrays [`FlowBatch`]
+    /// from one ingress, appending one verdict per flow to `out` (same
+    /// order).
     ///
     /// Phase A classifies the source column against one cached snapshot's
     /// frozen LPM — no sort permutation needed, since a frozen lookup
     /// costs the same constant number of memory touches for any input
-    /// order. Phase B applies bookkeeping in original flow order. If a
-    /// suspect's sighting republishes the EIA snapshot mid-batch (an
-    /// adoption landed), the precomputed verdicts are stale for the
-    /// remaining flows, so they fall back to live per-flow classification
-    /// — exactly when the per-flow path's own `cached_snapshot` would
-    /// have reloaded.
+    /// order. Phase B applies bookkeeping in original flow order; EIA
+    /// matches never materialise the record unless telemetry samples it,
+    /// and suspects run the same `suspect_path` the per-flow entry uses. If
+    /// a suspect's sighting adopts a prefix mid-batch, the precomputed
+    /// verdicts are stale for the remaining flows, so they fall back to
+    /// live per-flow classification: a later flow from the adopted range
+    /// must turn `Legal` exactly as it would have under
+    /// [`ConcurrentAnalyzer::process_with_effort`].
     pub fn process_flow_batch_into(
         &self,
         ingress: PeerId,
@@ -439,7 +457,7 @@ impl ConcurrentAnalyzer {
         let snap_version = self.eia.version();
         let snapshot = self.cached_snapshot();
         let sampling = sample != 0 && n0.next_multiple_of(sample) < n0 + len as u64;
-        let a_started = sampling.then(std::time::Instant::now);
+        let a_started = sampling.then(Instant::now);
         trace::start("eia");
         snapshot.classify_batch_into(ingress, src, &mut eia);
         trace::end();
@@ -455,55 +473,32 @@ impl ConcurrentAnalyzer {
         // All suspects in this batch share one ingress: hoist their peer
         // counter cell out of the loop, lazily so suspect-free batches
         // never materialise it.
-        let mut peer: Option<std::sync::Arc<crate::observe::PeerCounters>> = None;
+        let mut peer: Option<Arc<crate::observe::PeerCounters>> = None;
         for (i, &eia_verdict) in eia.iter().enumerate() {
             let n = n0 + i as u64;
             if stale {
                 out.push(self.process_counted(n, ingress, &batch.record(i), effort));
                 continue;
             }
+            let sampled = self.latency_sampled(n);
             match eia_verdict {
                 EiaVerdict::Match => {
                     matches += 1;
-                    let mut elapsed_ns = 0;
-                    if sample != 0 && n.is_multiple_of(sample) {
-                        if let Some(share) = per_flow {
-                            elapsed_ns = saturating_nanos(share);
-                            self.metrics.fast_path.record(share);
-                            self.telemetry.observe_fast_latency(elapsed_ns);
-                        }
-                    }
-                    if self.telemetry.fast_sample_due(n) {
-                        let record = batch.record(i);
-                        self.telemetry.record_fast_path(
-                            self.shard_for(&record),
-                            ingress,
-                            &record,
-                            elapsed_ns,
-                        );
-                    }
-                    out.push(Verdict::Legal);
+                    let share = if sampled { per_flow } else { None };
+                    out.push(self.legal(n, ingress, share, || batch.record(i)));
                 }
                 EiaVerdict::Mismatch { expected } => {
                     let flow = batch.record(i);
-                    let started = if sample != 0 && n.is_multiple_of(sample) {
-                        Some(std::time::Instant::now())
-                    } else {
-                        None
-                    };
+                    let started = sampled.then(Instant::now);
                     // Sampled suspects get the full observation; the rest
                     // take the counters-only path (see `SuspectRecord`).
-                    let record = if started.is_some() {
+                    let record = if sampled {
                         SuspectRecord::Full
                     } else {
-                        if peer.is_none() {
-                            peer = Some(self.telemetry.peer_cell(ingress));
-                        }
-                        SuspectRecord::Light(peer.as_deref().expect("hoisted above"))
+                        let peer = peer.get_or_insert_with(|| self.telemetry.peer_cell(ingress));
+                        SuspectRecord::Light(peer)
                     };
-                    out.push(
-                        self.suspect_counted(started, ingress, &flow, expected, effort, record),
-                    );
+                    out.push(self.suspect_path(started, ingress, &flow, expected, effort, record));
                     if self.eia.version() != snap_version {
                         stale = true;
                     }
@@ -547,9 +542,10 @@ impl ConcurrentAnalyzer {
             return (Verdict::Attack(stage), observed);
         }
         if effort == Effort::SkipNns {
-            // Degraded: clear the scan-pass suspect without the NNS search
-            // and without an adoption sighting (see the single-threaded
-            // analyzer for the rationale).
+            // Degraded: the NNS stage is shed, so the scan-pass suspect is
+            // cleared — but never recorded as a sighting, because nothing
+            // vouched for its normality (adoption must not erode the EIA
+            // sets under overload).
             ConcurrentMetrics::bump(&self.metrics.forgiven);
             return (Verdict::Forgiven, observed);
         }
@@ -577,6 +573,8 @@ impl ConcurrentAnalyzer {
         observed.nns = Some(nns);
         let verdict = match outcome {
             SuspectOutcome::Cleared => {
+                // Within normal behaviour: not an attack; count toward
+                // dynamic EIA adoption (§5.2(a)).
                 ConcurrentMetrics::bump(&self.metrics.forgiven);
                 if self.record_sighting(ingress, flow.src_addr) {
                     ConcurrentMetrics::bump(&self.metrics.adoptions);
@@ -622,9 +620,8 @@ impl ConcurrentAnalyzer {
 
     /// Write-side sighting; an adoption is published before the lock is
     /// released, so the adopted source takes the fast path on its very
-    /// next flow, as in the single-threaded analyzer. Returns whether this
-    /// sighting adopted the source.
-    fn record_sighting(&self, ingress: PeerId, addr: std::net::Ipv4Addr) -> bool {
+    /// next flow. Returns whether this sighting adopted the source.
+    fn record_sighting(&self, ingress: PeerId, addr: Ipv4Addr) -> bool {
         // Adoption disabled: the registry would refuse the sighting anyway
         // (see `EiaRegistry::record_sighting`), so don't serialise every
         // NNS-cleared suspect on the write-side mutex to learn that.
@@ -667,12 +664,11 @@ impl ConcurrentAnalyzer {
     }
 
     /// Replaces the write-side EIA registry wholesale and republishes its
-    /// snapshot — the hot-reload path. Adoption knobs from the analyzer
-    /// config are reapplied so a freshly parsed registry behaves like the
-    /// one it replaces. Returns the preloaded prefix count now live.
-    pub fn reload_eia(&self, mut eia: crate::EiaRegistry) -> usize {
-        eia.set_adoption_threshold(self.cfg.adoption_threshold);
-        eia.set_adoption_prefix_len(self.cfg.adoption_prefix_len);
+    /// snapshot — the hot-reload path. Dynamic adoptions accumulated in
+    /// the old registry are discarded (the reloaded config is the source
+    /// of truth). Returns the preloaded prefix count now live.
+    pub fn reload_eia(&self, mut eia: EiaRegistry) -> usize {
+        take_over(&self.cfg, &mut eia);
         let mut registry = self.write_side.lock();
         *registry = eia;
         self.eia.publish(registry.snapshot());
@@ -757,7 +753,15 @@ mod tests {
 
     #[test]
     fn concurrent_bi_matches_and_flags() {
-        let engine = ConcurrentAnalyzer::new(bi_analyzer(), ConcurrentConfig::default());
+        // One alert before re-sharding: its id is spent, the alert itself
+        // is dropped with the analyzer's queue.
+        let analyzer = bi_analyzer();
+        let early = FlowRecord {
+            src_addr: "3.40.0.1".parse().unwrap(),
+            ..FlowRecord::default()
+        };
+        assert!(analyzer.process(PeerId(1), &early).is_attack());
+        let engine = ConcurrentAnalyzer::new(analyzer, ConcurrentConfig::default());
         let legal = FlowRecord {
             src_addr: "3.0.0.9".parse().unwrap(),
             ..FlowRecord::default()
@@ -772,6 +776,10 @@ mod tests {
         assert_eq!((m.flows, m.eia_match, m.eia_attacks), (2, 1, 1));
         let alerts = engine.drain_alerts();
         assert_eq!(alerts.len(), 1);
+        assert_eq!(
+            alerts[0].message_id, 1,
+            "the alert id sequence carries over"
+        );
         assert!(engine.drain_alerts().is_empty());
     }
 
@@ -784,7 +792,10 @@ mod tests {
                 ..FlowRecord::default()
             })
             .collect();
-        let verdicts = engine.process_batch(PeerId(1), &flows);
+        let mut batch = FlowBatch::new();
+        batch.extend_from_records(&flows);
+        let mut verdicts = Vec::new();
+        engine.process_flow_batch_into(PeerId(1), &batch, Effort::Full, &mut verdicts);
         assert_eq!(verdicts.len(), 10);
         assert!(verdicts.iter().all(Verdict::is_legal));
         assert_eq!(engine.metrics().flows, 10);
@@ -897,6 +908,28 @@ mod tests {
         fresh.preload(PeerId(1), "9.0.0.0/11".parse().expect("static prefix"));
         assert_eq!(engine.reload_eia(fresh), 1);
         assert!(!engine.process(PeerId(1), &spoofed).is_attack());
+    }
+
+    /// `/reload` must not keep the parsed registry's trie slack alive.
+    #[test]
+    fn reload_eia_shrinks_the_incoming_registry() {
+        let engine = ConcurrentAnalyzer::new(bi_analyzer(), ConcurrentConfig::default());
+        let mut fresh = EiaRegistry::new(3);
+        for i in 0..500u32 {
+            let prefix = infilter_net::Prefix::new((0x0900_0000 + (i << 8)).into(), 24);
+            fresh.preload(PeerId(1), prefix);
+        }
+        let mut shrunk = fresh.clone();
+        shrunk.shrink_to_fit();
+        assert!(
+            shrunk.approx_bytes() < fresh.approx_bytes(),
+            "the fixture must carry slack for the test to mean anything"
+        );
+        assert_eq!(engine.reload_eia(fresh), 500);
+        assert_eq!(
+            engine.write_side.lock().approx_bytes(),
+            shrunk.approx_bytes()
+        );
     }
 
     #[test]

@@ -76,9 +76,8 @@ impl EiaVerdict {
 /// binary-trie node hops.
 ///
 /// This is the read side of the concurrency split: snapshots are published
-/// behind an [`crate::SnapshotCell`] (the [`crate::ConcurrentAnalyzer`]
-/// case) or held directly by the single-threaded [`crate::Analyzer`], and
-/// classified against without any lock. Sightings and adoptions go through
+/// behind an [`crate::SnapshotCell`] by the [`crate::ConcurrentAnalyzer`]
+/// and classified against without any lock. Sightings and adoptions go through
 /// the authoritative [`EiaRegistry`] on the (rarely taken) write side. It
 /// compiles the snapshot once ([`EiaRegistry::snapshot`]: boot, reload);
 /// each adoption after that is patched into the published snapshot, which
@@ -374,8 +373,8 @@ impl EiaRegistry {
     /// lock-free readers: the dynamic trie is flattened into a
     /// [`FrozenLpm`] so every subsequent classification costs a constant
     /// number of memory touches. A full, canonical compile — O(table) —
-    /// for boot, warm restore and reload; the engines fold later adoptions
-    /// into the snapshot they already published instead of calling this.
+    /// for boot, warm restore and reload; the engine folds later adoptions
+    /// into the snapshot it already published instead of calling this.
     pub fn snapshot(&self) -> EiaSnapshot {
         EiaSnapshot {
             lpm: FrozenLpm::compile(&self.trie),
@@ -392,8 +391,8 @@ impl EiaRegistry {
     }
 
     /// [`EiaRegistry::record_sighting`], returning the range this sighting
-    /// adopted into `observed`'s EIA set — what the engines patch into
-    /// their published snapshot.
+    /// adopted into `observed`'s EIA set — what the engine patches into
+    /// its published snapshot.
     pub(crate) fn sight(&mut self, observed: PeerId, addr: Ipv4Addr) -> Option<Prefix> {
         if self.adoption_threshold == 0 {
             return None;

@@ -15,10 +15,14 @@
 //!   partition a normal cluster into per-service subclusters, build one NNS
 //!   structure per subcluster, and establish per-subcluster Hamming
 //!   distance thresholds (§5.1.3 a–d).
-//! * **Online operation** ([`Analyzer`]): per-flow
+//! * **Online operation** ([`ConcurrentAnalyzer`]): per-flow
 //!   `EIA check → Scan Analysis → NNS search` with IDMEF alert generation
-//!   (§5.1.3 e, Figure 12). [`Mode::Basic`] stops after the EIA check —
-//!   the paper's BI software configuration; [`Mode::Enhanced`] is EI.
+//!   (§5.1.3 e, Figure 12), implemented once. [`Mode::Basic`] stops after
+//!   the EIA check — the paper's BI software configuration;
+//!   [`Mode::Enhanced`] is EI. Training hands over an [`Analyzer`]: that
+//!   engine with one shard (the paper's scan semantics exactly), for one
+//!   caller; [`ConcurrentAnalyzer::new`] re-shards it for several
+//!   collector threads, and [`Engine`] is what the ingest daemon drives.
 //!
 //! # Examples
 //!
@@ -32,7 +36,7 @@
 //! eia.preload(PeerId(2), "4.64.0.0/11".parse()?);
 //!
 //! // Basic InFilter: no training needed.
-//! let mut analyzer = Trainer::new(AnalyzerConfig::builder().mode(Mode::Basic).build()?)
+//! let analyzer = Trainer::new(AnalyzerConfig::builder().mode(Mode::Basic).build()?)
 //!     .train_basic(eia);
 //!
 //! let legal = FlowRecord { src_addr: "3.0.0.9".parse()?, ..FlowRecord::default() };

@@ -116,7 +116,7 @@ impl Default for TelemetryConfig {
 
 /// One journal-worthy state change: the rare, operator-relevant events
 /// whose *order* matters — the evidence chain counters cannot give.
-/// Recorded into [`PipelineTelemetry::journal`] by the engines and the
+/// Recorded into [`PipelineTelemetry::journal`] by the engine and the
 /// ingest daemon, served at `/events`, and folded into the shutdown
 /// report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -631,8 +631,7 @@ pub struct PipelineTelemetry {
 }
 
 impl PipelineTelemetry {
-    /// Creates telemetry for an engine with `shards` suspect shards (the
-    /// single-threaded analyzer passes 1).
+    /// Creates telemetry for an engine with `shards` suspect shards.
     pub(crate) fn new(cfg: TelemetryConfig, shards: usize) -> PipelineTelemetry {
         let capacity = if cfg.enabled {
             cfg.recorder_capacity
@@ -903,12 +902,6 @@ impl PipelineTelemetry {
     /// Counts one EIA snapshot republish and restarts the staleness clock.
     pub(crate) fn record_republish(&self) {
         self.republishes.fetch_add(1, Ordering::Relaxed);
-        self.snapshot_health.note_publish();
-    }
-
-    /// Notes a snapshot publication that isn't counted as a republish
-    /// (the single-threaded analyzer's in-place recompiles).
-    pub(crate) fn note_snapshot_publish(&self) {
         self.snapshot_health.note_publish();
     }
 

@@ -1,19 +1,17 @@
 use std::net::Ipv4Addr;
 use std::time::Instant;
 
-use infilter_netflow::{FlowBatch, FlowRecord};
+use infilter_netflow::FlowRecord;
 use infilter_nns::{BitVec, NnsParams};
 use infilter_telemetry::trace;
 use infilter_traffic::AppClass;
 use serde::{Deserialize, Serialize};
 
 pub use crate::eia::PeerId;
-use crate::observe::{
-    JournalEvent, NnsObservation, PipelineTelemetry, SuspectObservation, TelemetryConfig,
-};
+use crate::observe::{NnsObservation, SuspectObservation, TelemetryConfig};
 use crate::{
-    AnalyzerMetrics, ClusterModel, EiaRegistry, EiaSnapshot, EiaVerdict, FlowDecision, IdmefAlert,
-    ScanAnalyzer, ScanConfig, ScanVerdict, ThresholdPolicy, TrainError,
+    ClusterModel, ConcurrentAnalyzer, ConcurrentConfig, EiaRegistry, ScanAnalyzer, ScanConfig,
+    ScanVerdict, ThresholdPolicy, TrainError,
 };
 
 /// Software configuration (§6.3): `BI` assesses traffic with EIA analysis
@@ -169,12 +167,6 @@ pub struct AnalyzerConfig {
     pub adoption_prefix_len: u8,
     /// RNG seed for NNS structure construction.
     pub seed: u64,
-    /// Record per-flow latency on every N-th flow (`1` = every flow, the
-    /// historical behaviour; `0` disables latency recording entirely).
-    /// Taking two `Instant::now()` readings per flow is measurable on the
-    /// sub-microsecond fast path, so throughput-sensitive deployments
-    /// sample.
-    pub latency_sample_every: u64,
     /// Observability knobs: stage histograms, flight-recorder capacity,
     /// fast-path sampling (see [`TelemetryConfig`]).
     pub telemetry: TelemetryConfig,
@@ -193,7 +185,6 @@ impl Default for AnalyzerConfig {
             adoption_threshold: 5,
             adoption_prefix_len: 32,
             seed: 0x1f11,
-            latency_sample_every: 1,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -304,12 +295,6 @@ impl AnalyzerConfigBuilder {
     /// RNG seed for NNS structure construction.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
-        self
-    }
-
-    /// Record per-flow latency on every N-th flow (0 disables).
-    pub fn latency_sample_every(mut self, every: u64) -> Self {
-        self.cfg.latency_sample_every = every;
         self
     }
 
@@ -472,471 +457,37 @@ impl Trainer {
     }
 }
 
-/// The online InFilter engine: one `process` call per incoming flow.
+/// The online InFilter engine as the training phase hands it over, owned
+/// by one caller: a [`ConcurrentAnalyzer`] with a single shard — the
+/// paper's scan semantics exactly, one Scan Analysis buffer seeing every
+/// suspect — that samples latency on every flow. It dereferences to that
+/// engine, so `process`, `metrics`, `drain_alerts`, `explain_last` and the
+/// rest are the engine's own; [`ConcurrentAnalyzer::new`] re-shards it for
+/// several collector threads.
 ///
 /// See the crate documentation for an end-to-end example.
 #[derive(Debug)]
-pub struct Analyzer {
-    cfg: AnalyzerConfig,
-    eia: EiaRegistry,
-    /// Frozen view of `eia` the hot path classifies against (constant
-    /// memory touches per lookup). Compiled at assembly and reload, patched
-    /// per adoption — the same points at which the concurrent engine
-    /// republishes its snapshot.
-    eia_view: EiaSnapshot,
-    scan: ScanAnalyzer,
-    model: Option<ClusterModel>,
-    metrics: AnalyzerMetrics,
-    telemetry: PipelineTelemetry,
-    alerts: Vec<IdmefAlert>,
-    next_alert_id: u64,
-    /// Reusable NNS query buffer: suspect-flow encode + search performs
-    /// zero heap allocations after the first suspect.
-    nns_scratch: BitVec,
-    /// Batch-path scratch: per-flow EIA verdicts and a column buffer for
-    /// record-slice batches. Reused so the steady-state batch path
-    /// allocates nothing.
-    batch_eia: Vec<EiaVerdict>,
-    batch_scratch: FlowBatch,
-    /// Memoised NNS outcomes (the model is immutable after training).
-    nns_memo: NnsMemo,
-}
+pub struct Analyzer(pub(crate) ConcurrentAnalyzer);
 
 impl Analyzer {
-    fn assemble(
-        cfg: AnalyzerConfig,
-        mut eia: EiaRegistry,
-        model: Option<ClusterModel>,
-    ) -> Analyzer {
-        // The registry's adoption policy follows the analyzer config.
-        eia.set_adoption_threshold(cfg.adoption_threshold);
-        eia.set_adoption_prefix_len(cfg.adoption_prefix_len);
-        eia.shrink_to_fit();
-        let eia_view = eia.snapshot();
-        Analyzer {
-            scan: ScanAnalyzer::new(cfg.scan),
-            telemetry: PipelineTelemetry::new(cfg.telemetry, 1),
+    fn assemble(cfg: AnalyzerConfig, eia: EiaRegistry, model: Option<ClusterModel>) -> Analyzer {
+        Analyzer(ConcurrentAnalyzer::assemble(
             cfg,
             eia,
-            eia_view,
             model,
-            metrics: AnalyzerMetrics::default(),
-            alerts: Vec::new(),
-            next_alert_id: 0,
-            nns_scratch: BitVec::zeros(0),
-            batch_eia: Vec::new(),
-            batch_scratch: FlowBatch::new(),
-            nns_memo: NnsMemo::default(),
-        }
+            ConcurrentConfig {
+                shards: 1,
+                latency_sample_every: 1,
+            },
+        ))
     }
+}
 
-    /// The configuration in force.
-    pub fn config(&self) -> &AnalyzerConfig {
-        &self.cfg
-    }
+impl std::ops::Deref for Analyzer {
+    type Target = ConcurrentAnalyzer;
 
-    /// Counters and latency accumulators.
-    pub fn metrics(&self) -> &AnalyzerMetrics {
-        &self.metrics
-    }
-
-    /// Histograms, counter families, and the flight recorder.
-    pub fn telemetry(&self) -> &PipelineTelemetry {
-        &self.telemetry
-    }
-
-    /// The most recent `n` flight-recorder decisions, newest first.
-    pub fn explain_last(&self, n: usize) -> Vec<FlowDecision> {
-        self.telemetry.explain_last(n)
-    }
-
-    /// Renders the full metric set as one Prometheus text-format (0.0.4)
-    /// exposition page.
-    pub fn prometheus_text(&self) -> String {
-        crate::observe::render_exposition(
-            &self.metrics,
-            &self.telemetry,
-            &[(self.scan.buffered(), self.scan.counter_entries())],
-            (self.eia_view.prefix_count(), self.eia_view.approx_bytes()),
-        )
-    }
-
-    /// Alerts emitted so far (IDMEF consumers drain this).
-    pub fn alerts(&self) -> &[IdmefAlert] {
-        &self.alerts
-    }
-
-    /// Removes and returns all pending alerts.
-    pub fn drain_alerts(&mut self) -> Vec<IdmefAlert> {
-        std::mem::take(&mut self.alerts)
-    }
-
-    /// Read access to the EIA registry (the write side).
-    pub fn eia(&self) -> &EiaRegistry {
-        &self.eia
-    }
-
-    /// The frozen EIA view the hot path classifies against. Brought up to
-    /// date on every registry mutation (patched per adoption, recompiled on
-    /// reload), so it always agrees with [`Analyzer::eia`].
-    pub fn eia_view(&self) -> &EiaSnapshot {
-        &self.eia_view
-    }
-
-    /// Drains buffered adoption events off the registry; see
-    /// [`crate::Engine::adoption_events`].
-    pub fn adoption_events(&mut self, sink: &mut Vec<crate::AdoptionEvent>) {
-        self.eia.drain_events(sink);
-    }
-
-    /// Replaces the EIA registry wholesale — the config hot-reload path.
-    /// The new registry takes over this analyzer's adoption policy;
-    /// dynamic adoptions accumulated in the old registry are discarded
-    /// (the reloaded config is the source of truth). Returns the number
-    /// of preloaded prefixes now in force.
-    pub fn reload_eia(&mut self, mut eia: EiaRegistry) -> usize {
-        eia.set_adoption_threshold(self.cfg.adoption_threshold);
-        eia.set_adoption_prefix_len(self.cfg.adoption_prefix_len);
-        eia.shrink_to_fit();
-        self.eia = eia;
-        self.eia_view = self.eia.snapshot();
-        self.telemetry.note_snapshot_publish();
-        let prefixes = self.eia.prefix_count();
-        self.telemetry.journal_event(JournalEvent::EiaReload {
-            prefixes: prefixes.min(u32::MAX as usize) as u32,
-        });
-        prefixes
-    }
-
-    /// Processes one flow observed at `ingress`, returning the verdict and
-    /// recording metrics, (sampled) latency and alerts (Figure 12).
-    pub fn process(&mut self, ingress: PeerId, flow: &FlowRecord) -> Verdict {
-        self.process_with_effort(ingress, flow, Effort::Full)
-    }
-
-    /// [`Analyzer::process`] at an explicit degradation rung: at
-    /// [`Effort::SkipNns`] scan-pass suspects are cleared without the NNS
-    /// search (and without counting toward adoption); at
-    /// [`Effort::BiOnly`] every suspect is flagged directly, as Basic
-    /// InFilter would.
-    pub fn process_with_effort(
-        &mut self,
-        ingress: PeerId,
-        flow: &FlowRecord,
-        effort: Effort,
-    ) -> Verdict {
-        let n = self.metrics.flows;
-        self.metrics.flows += 1;
-        self.process_counted(n, ingress, flow, effort)
-    }
-
-    /// The per-flow pipeline after the flow counter: `n` is this flow's
-    /// global sequence number (what latency sampling and the flight
-    /// recorder gate on). The batch path bulk-advances the counter and
-    /// calls this only for flows that fall off its precomputed fast path.
-    fn process_counted(
-        &mut self,
-        n: u64,
-        ingress: PeerId,
-        flow: &FlowRecord,
-        effort: Effort,
-    ) -> Verdict {
-        let sample = self.cfg.latency_sample_every;
-        let started = if sample != 0 && n.is_multiple_of(sample) {
-            Some(Instant::now())
-        } else {
-            None
-        };
-
-        // Stage 1: EIA set analysis against the frozen view (≤ 3 memory
-        // touches; patched on every adoption, so never stale).
-        let eia_verdict = self.eia_view.classify(ingress, flow.src_addr);
-        match eia_verdict {
-            EiaVerdict::Match => {
-                self.metrics.eia_match += 1;
-                let mut elapsed_ns = 0;
-                if let Some(started) = started {
-                    let elapsed = started.elapsed();
-                    elapsed_ns = saturating_nanos(elapsed);
-                    self.metrics.fast_path.record(elapsed);
-                    self.telemetry.observe_fast_latency(elapsed_ns);
-                }
-                if self.telemetry.fast_sample_due(n) {
-                    self.telemetry
-                        .record_fast_path(0, ingress, flow, elapsed_ns);
-                }
-                Verdict::Legal
-            }
-            EiaVerdict::Mismatch { expected } => self.suspect_path(
-                started,
-                ingress,
-                flow,
-                expected,
-                effort,
-                SuspectRecord::Full,
-            ),
-        }
-    }
-
-    /// Stages 2–3 plus alerting and suspect telemetry for one EIA-suspect
-    /// flow. `started` carries the latency-sampling decision (and start
-    /// time) made by the caller.
-    fn suspect_path(
-        &mut self,
-        started: Option<Instant>,
-        ingress: PeerId,
-        flow: &FlowRecord,
-        expected: Option<PeerId>,
-        effort: Effort,
-        record: SuspectRecord,
-    ) -> Verdict {
-        self.metrics.eia_suspect += 1;
-        let observe = record.observed();
-        // In the per-flow path suspects are rare and slow, so when
-        // telemetry is on they are all timed, not just the latency-sampled
-        // ones (the histogram needs the tail; `metrics.suspect_path` keeps
-        // its sampled semantics). The batch path instead samples suspect
-        // telemetry and passes `SuspectRecord::Light` for the rest.
-        let suspect_started =
-            started.or_else(|| (observe && self.telemetry.enabled()).then(Instant::now));
-
-        let (verdict, observed) = match (self.cfg.mode, effort) {
-            (Mode::Basic, _) | (Mode::Enhanced, Effort::BiOnly) => {
-                // BI (or the deepest degradation rung) flags every suspect
-                // directly.
-                self.metrics.eia_attacks += 1;
-                (
-                    Verdict::Attack(AttackStage::EiaMismatch { expected }),
-                    SuspectObservation::default(),
-                )
-            }
-            (Mode::Enhanced, effort) => self.enhanced_analysis(ingress, flow, effort, observe),
-        };
-        if let Verdict::Attack(stage) = verdict {
-            let alert = IdmefAlert::new(self.next_alert_id, flow, ingress, stage);
-            self.telemetry.journal_event(JournalEvent::Alert {
-                peer: ingress,
-                message_id: self.next_alert_id,
-            });
-            self.next_alert_id += 1;
-            self.alerts.push(alert);
-        }
-        let elapsed = suspect_started.map(|s| s.elapsed());
-        if started.is_some() {
-            self.metrics
-                .suspect_path
-                .record(elapsed.expect("timed when sampled"));
-        }
-        match record {
-            SuspectRecord::Full => self.telemetry.record_suspect(
-                0,
-                ingress,
-                expected,
-                flow,
-                &observed,
-                verdict,
-                elapsed.map_or(0, saturating_nanos),
-            ),
-            SuspectRecord::Light(peer) => {
-                self.telemetry
-                    .record_suspect_light(0, ingress, flow.src_addr, peer, verdict)
-            }
-        }
-        verdict
-    }
-
-    /// Batch-first hot path: classifies a struct-of-arrays batch from one
-    /// ingress, appending one verdict per flow to `out` (same order).
-    ///
-    /// Phase A classifies the source column against the frozen EIA view —
-    /// no sort permutation needed, since a [`FrozenLpm`](infilter_net::FrozenLpm)
-    /// lookup costs the same constant number of memory touches for any
-    /// input order. Phase B applies bookkeeping in original flow order;
-    /// EIA matches take a columnar fast path that never materialises the
-    /// record unless telemetry samples it, and suspects run the identical
-    /// `suspect_path` the per-flow API uses, so verdicts agree by
-    /// construction.
-    ///
-    /// If a suspect's sighting adopts a prefix mid-batch, the remaining
-    /// flows fall back to live per-flow classification — a later flow from
-    /// the adopted range must turn `Legal` exactly as it would have under
-    /// `process_with_effort`.
-    pub fn process_flow_batch_into(
-        &mut self,
-        ingress: PeerId,
-        batch: &FlowBatch,
-        effort: Effort,
-        out: &mut Vec<Verdict>,
-    ) {
-        let len = batch.len();
-        if len == 0 {
-            return;
-        }
-        out.reserve(len);
-        let n0 = self.metrics.flows;
-        self.metrics.flows += len as u64;
-        let sample = self.cfg.latency_sample_every;
-
-        // Phase A: grouped EIA classification over the source column,
-        // against the frozen view.
-        let src = batch.src_addr_bits();
-        // Amortise the phase-A walk into the sampled fast-path latency:
-        // time the whole pass only when some flow in this window samples.
-        let sampling = sample != 0 && n0.next_multiple_of(sample) < n0 + len as u64;
-        let a_started = sampling.then(Instant::now);
-        trace::start("eia");
-        self.eia_view
-            .classify_batch_into(ingress, src, &mut self.batch_eia);
-        trace::end();
-        let per_flow = a_started.map(|s| s.elapsed() / len as u32);
-
-        // Phase B: bookkeeping and suspect analysis in original order.
-        let adopted0 = self.eia.adopted_count();
-        let mut stale = false;
-        trace::start("verdict");
-        // All suspects in this batch share one ingress: hoist their peer
-        // counter cell out of the loop, lazily so suspect-free batches
-        // never materialise it.
-        let mut peer: Option<std::sync::Arc<crate::observe::PeerCounters>> = None;
-        for i in 0..len {
-            let n = n0 + i as u64;
-            if stale {
-                // An adoption invalidated the precomputed verdicts for the
-                // rest of the batch: classify live, per flow.
-                out.push(self.process_counted(n, ingress, &batch.record(i), effort));
-                continue;
-            }
-            match self.batch_eia[i] {
-                EiaVerdict::Match => {
-                    self.metrics.eia_match += 1;
-                    let mut elapsed_ns = 0;
-                    if sample != 0 && n.is_multiple_of(sample) {
-                        if let Some(share) = per_flow {
-                            elapsed_ns = saturating_nanos(share);
-                            self.metrics.fast_path.record(share);
-                            self.telemetry.observe_fast_latency(elapsed_ns);
-                        }
-                    }
-                    if self.telemetry.fast_sample_due(n) {
-                        self.telemetry
-                            .record_fast_path(0, ingress, &batch.record(i), elapsed_ns);
-                    }
-                    out.push(Verdict::Legal);
-                }
-                EiaVerdict::Mismatch { expected } => {
-                    let flow = batch.record(i);
-                    let started = if sample != 0 && n.is_multiple_of(sample) {
-                        Some(Instant::now())
-                    } else {
-                        None
-                    };
-                    // Sampled suspects get the full observation; the rest
-                    // take the counters-only path (see `SuspectRecord`).
-                    let record = if started.is_some() {
-                        SuspectRecord::Full
-                    } else {
-                        if peer.is_none() {
-                            peer = Some(self.telemetry.peer_cell(ingress));
-                        }
-                        SuspectRecord::Light(peer.as_deref().expect("hoisted above"))
-                    };
-                    out.push(self.suspect_path(started, ingress, &flow, expected, effort, record));
-                    if self.eia.adopted_count() != adopted0 {
-                        stale = true;
-                    }
-                }
-            }
-        }
-        trace::end();
-    }
-
-    /// [`Analyzer::process_flow_batch_into`] over a record slice, reusing
-    /// an internal column buffer for the transposition.
-    pub fn process_batch_into(
-        &mut self,
-        ingress: PeerId,
-        flows: &[FlowRecord],
-        effort: Effort,
-        out: &mut Vec<Verdict>,
-    ) {
-        let mut batch = std::mem::take(&mut self.batch_scratch);
-        batch.clear();
-        batch.extend_from_records(flows);
-        self.process_flow_batch_into(ingress, &batch, effort, out);
-        self.batch_scratch = batch;
-    }
-
-    fn enhanced_analysis(
-        &mut self,
-        ingress: PeerId,
-        flow: &FlowRecord,
-        effort: Effort,
-        observe: bool,
-    ) -> (Verdict, SuspectObservation) {
-        // Stage 2: Scan Analysis. When nothing will record the observation
-        // (`observe` is false), skip the distinct-counter reads — the push
-        // itself still updates the scan state, so verdicts are unaffected.
-        trace::start("scan");
-        let (scan_hit, mut observed) = if observe {
-            scan_stage(&mut self.scan, flow)
-        } else {
-            (
-                scan_verdict_stage(self.scan.push(flow)),
-                SuspectObservation::default(),
-            )
-        };
-        trace::end();
-        if let Some(stage) = scan_hit {
-            self.metrics.scan_attacks += 1;
-            return (Verdict::Attack(stage), observed);
-        }
-        if effort == Effort::SkipNns {
-            // Degraded: the NNS stage is shed, so the scan-pass suspect is
-            // cleared — but never recorded as a sighting, because nothing
-            // vouched for its normality (adoption must not erode the EIA
-            // sets under overload).
-            self.metrics.forgiven += 1;
-            return (Verdict::Forgiven, observed);
-        }
-
-        // Stage 3: NNS analysis against the relevant subcluster.
-        let timed = observe && self.telemetry.enabled();
-        let (outcome, nns) = nns_stage(
-            self.model.as_ref(),
-            flow,
-            &mut self.nns_scratch,
-            timed,
-            &mut self.nns_memo,
-        );
-        observed.nns = Some(nns);
-        let verdict = match outcome {
-            SuspectOutcome::Cleared => {
-                // Within normal behaviour: not an attack; count toward
-                // dynamic EIA adoption (§5.2(a)).
-                self.metrics.forgiven += 1;
-                if let Some(adopted) = self.eia.sight(ingress, flow.src_addr) {
-                    // The registry mutated: patch the frozen view so the
-                    // very next flow classifies against the adoption,
-                    // exactly as the live trie would.
-                    self.eia_view.adopt(adopted, ingress);
-                    self.telemetry.note_snapshot_publish();
-                    self.metrics.adoptions += 1;
-                    self.telemetry.record_adoption(ingress);
-                }
-                Verdict::Forgiven
-            }
-            SuspectOutcome::Attack(stage) => {
-                self.metrics.nns_attacks += 1;
-                Verdict::Attack(stage)
-            }
-        };
-        (verdict, observed)
-    }
-
-    /// Decomposes into the parts the concurrent analyzer is built from.
-    /// Pending alerts are forfeited; the alert id sequence carries over.
-    pub(crate) fn into_parts(self) -> (AnalyzerConfig, EiaRegistry, Option<ClusterModel>, u64) {
-        (self.cfg, self.eia, self.model, self.next_alert_id)
+    fn deref(&self) -> &ConcurrentAnalyzer {
+        &self.0
     }
 }
 
@@ -955,11 +506,6 @@ pub(crate) fn saturating_nanos(elapsed: std::time::Duration) -> u64 {
     elapsed.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-/// Stage 2 (Scan Analysis) as a pure function of detector state + flow, so
-/// the single-threaded [`Analyzer`] and the sharded
-/// [`crate::ConcurrentAnalyzer`] flag identically by construction. Also
-/// reports the suspect's scan counters *at decision time* (two map lookups)
-/// for the flight recorder and scan-counter histograms.
 /// Memoised NNS outcomes keyed by `(service class, encoding fingerprint)`.
 ///
 /// The KOR search is a pure function of the encoded query (the permutation
@@ -1049,6 +595,9 @@ pub(crate) fn scan_verdict_stage(verdict: ScanVerdict) -> Option<AttackStage> {
     }
 }
 
+/// Stage 2 (Scan Analysis) as a pure function of detector state + flow.
+/// Also reports the suspect's scan counters *at decision time* (two map
+/// lookups) for the flight recorder and scan-counter histograms.
 pub(crate) fn scan_stage(
     scan: &mut ScanAnalyzer,
     flow: &FlowRecord,
@@ -1176,7 +725,7 @@ mod tests {
 
     #[test]
     fn bi_flags_every_suspect() {
-        let mut a = Trainer::new(small_cfg(Mode::Basic)).train_basic(eia());
+        let a = Trainer::new(small_cfg(Mode::Basic)).train_basic(eia());
         assert_eq!(
             a.process(PeerId(1), &http_flow("3.0.0.9", 0)),
             Verdict::Legal
@@ -1189,23 +738,23 @@ mod tests {
             })
         );
         assert_eq!(a.metrics().eia_attacks, 1);
-        assert_eq!(a.alerts().len(), 1);
+        assert_eq!(a.drain_alerts().len(), 1);
     }
 
     #[test]
     fn ei_forgives_normal_looking_route_change() {
-        let mut a = trained_ei();
+        let a = trained_ei();
         // A perfectly normal http flow arriving at the wrong peer (route
         // change): EI should forgive what BI would flag.
         let v = a.process(PeerId(1), &http_flow("3.33.0.9", 5));
         assert_eq!(v, Verdict::Forgiven);
         assert_eq!(a.metrics().forgiven, 1);
-        assert!(a.alerts().is_empty());
+        assert!(a.drain_alerts().is_empty());
     }
 
     #[test]
     fn ei_flags_anomalous_suspect() {
-        let mut a = trained_ei();
+        let a = trained_ei();
         // Spoofed flood: wrong ingress AND wildly abnormal stats.
         let flood = FlowRecord {
             packets: 200_000,
@@ -1226,13 +775,14 @@ mod tests {
             other => panic!("expected NNS anomaly, got {other:?}"),
         }
         assert_eq!(a.metrics().nns_attacks, 1);
-        assert_eq!(a.alerts().len(), 1);
-        assert!(a.alerts()[0].to_xml().contains("3.33.0.9"));
+        let alerts = a.drain_alerts();
+        assert_eq!(alerts.len(), 1);
+        assert!(alerts[0].to_xml().contains("3.33.0.9"));
     }
 
     #[test]
     fn ei_catches_network_scan_before_nns() {
-        let mut a = trained_ei();
+        let a = trained_ei();
         let mut scan_flagged = 0;
         for i in 0..30u32 {
             let f = FlowRecord {
@@ -1257,7 +807,7 @@ mod tests {
 
     #[test]
     fn untrained_service_is_anomalous() {
-        let mut a = trained_ei();
+        let a = trained_ei();
         let ftp = FlowRecord {
             dst_port: 21,
             protocol: 6,
@@ -1273,7 +823,7 @@ mod tests {
 
     #[test]
     fn forgiven_sources_get_adopted() {
-        let mut a = trained_ei();
+        let a = trained_ei();
         for i in 0..3 {
             let v = a.process(PeerId(1), &http_flow("3.33.0.77", i));
             assert_eq!(v, Verdict::Forgiven);
@@ -1288,7 +838,7 @@ mod tests {
 
     #[test]
     fn metrics_paths_add_up() {
-        let mut a = trained_ei();
+        let a = trained_ei();
         for i in 0..10 {
             a.process(PeerId(1), &http_flow("3.0.0.5", i)); // legal
         }
@@ -1308,7 +858,7 @@ mod tests {
 
     #[test]
     fn degraded_efforts_shed_stages() {
-        let mut a = trained_ei();
+        let a = trained_ei();
         // SkipNns clears scan-pass suspects without consulting NNS and
         // without counting toward adoption (threshold here is 3).
         for i in 0..5 {
@@ -1350,7 +900,7 @@ mod tests {
 
     #[test]
     fn reload_eia_swaps_the_registry() {
-        let mut a = Trainer::new(small_cfg(Mode::Basic)).train_basic(eia());
+        let a = Trainer::new(small_cfg(Mode::Basic)).train_basic(eia());
         // 9.0.0.9 is nobody's source today: attack.
         assert!(a.process(PeerId(1), &http_flow("9.0.0.9", 0)).is_attack());
         let mut fresh = EiaRegistry::new(3);
@@ -1363,10 +913,10 @@ mod tests {
 
     #[test]
     fn drain_alerts_empties_queue() {
-        let mut a = Trainer::new(small_cfg(Mode::Basic)).train_basic(eia());
+        let a = Trainer::new(small_cfg(Mode::Basic)).train_basic(eia());
         a.process(PeerId(1), &http_flow("3.40.0.5", 0));
         assert_eq!(a.drain_alerts().len(), 1);
-        assert!(a.alerts().is_empty());
+        assert!(a.drain_alerts().is_empty());
     }
 
     #[test]

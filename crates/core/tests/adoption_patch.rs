@@ -1,5 +1,5 @@
-//! Adoption without recompilation: both engines fold each adoption into
-//! the snapshot they already published instead of recompiling the table.
+//! Adoption without recompilation: the engine folds each adoption into
+//! the snapshot it already published instead of recompiling the table.
 //! These tests hold that shortcut to the definition it replaces — a full
 //! `EiaRegistry::snapshot()` after every adoption — and pin the two
 //! branches of the publish: in place when nobody holds the snapshot,
@@ -8,10 +8,10 @@
 use std::sync::{mpsc, Arc};
 
 use infilter_core::{
-    Analyzer, AnalyzerConfig, ConcurrentAnalyzer, ConcurrentConfig, Effort, EiaRegistry,
-    EiaSnapshot, Engine, Mode, PeerId, Trainer, Verdict,
+    AnalyzerConfig, ConcurrentAnalyzer, ConcurrentConfig, Effort, EiaRegistry, EiaSnapshot, Mode,
+    PeerId, Trainer, Verdict,
 };
-use infilter_netflow::FlowRecord;
+use infilter_netflow::{FlowBatch, FlowRecord};
 use infilter_nns::NnsParams;
 
 const THRESHOLD: u32 = 3;
@@ -48,7 +48,7 @@ fn flow(src: u32, i: u32) -> FlowRecord {
     }
 }
 
-fn analyzer(adoption_prefix_len: u8) -> Analyzer {
+fn engine(adoption_prefix_len: u8) -> ConcurrentAnalyzer {
     let cfg = AnalyzerConfig::builder()
         .mode(Mode::Enhanced)
         .nns(NnsParams {
@@ -63,9 +63,10 @@ fn analyzer(adoption_prefix_len: u8) -> Analyzer {
         .build()
         .expect("valid config");
     let training: Vec<FlowRecord> = (0..80).map(|i| flow(0x0300_0001, i)).collect();
-    Trainer::new(cfg)
+    let analyzer = Trainer::new(cfg)
         .train_enhanced(eia(adoption_prefix_len), &training)
-        .expect("training succeeds")
+        .expect("training succeeds");
+    ConcurrentAnalyzer::new(analyzer, ConcurrentConfig::default())
 }
 
 /// 140 sources from peer 2's space, alternating between two /16s, each in
@@ -126,16 +127,21 @@ fn oracle(
 
 /// Feeds runs of same-ingress flows as batches, so adoptions land
 /// mid-batch and the rest of the batch takes the stale fallback.
-fn run_batched<E: Engine>(engine: &mut E, flows: &[(PeerId, FlowRecord)]) -> Vec<Verdict> {
+fn run_batched(engine: &ConcurrentAnalyzer, flows: &[(PeerId, FlowRecord)]) -> Vec<Verdict> {
     let mut verdicts = Vec::new();
+    let mut batch = FlowBatch::new();
     for run in flows.chunk_by(|a, b| a.0 == b.0) {
-        let records: Vec<FlowRecord> = run.iter().map(|(_, flow)| *flow).collect();
-        engine.process_batch_into(run[0].0, &records, Effort::Full, &mut verdicts);
+        batch.clear();
+        for (_, flow) in run {
+            batch.push_record(flow);
+        }
+        engine.process_flow_batch_into(run[0].0, &batch, Effort::Full, &mut verdicts);
     }
     verdicts
 }
 
-fn assert_matches_oracle<E: Engine>(make: impl Fn(u8) -> E) {
+#[test]
+fn patched_adoptions_match_a_recompile_after_every_adoption() {
     let flows = workload();
     for adoption_prefix_len in [32, 24] {
         let (want, table, adoptions) = oracle(adoption_prefix_len, &flows);
@@ -151,15 +157,15 @@ fn assert_matches_oracle<E: Engine>(make: impl Fn(u8) -> E) {
             }
         };
 
-        let mut per_flow = make(adoption_prefix_len);
+        let per_flow = engine(adoption_prefix_len);
         let got = flows
             .iter()
             .map(|(peer, flow)| per_flow.process(*peer, flow))
             .collect();
         assert_verdicts("per flow", got);
 
-        let mut batched = make(adoption_prefix_len);
-        assert_verdicts("batched", run_batched(&mut batched, &flows));
+        let batched = engine(adoption_prefix_len);
+        assert_verdicts("batched", run_batched(&batched, &flows));
 
         for engine in [&per_flow, &batched] {
             assert_eq!(engine.metrics().adoptions, adoptions);
@@ -168,14 +174,6 @@ fn assert_matches_oracle<E: Engine>(make: impl Fn(u8) -> E) {
             assert!(*published == table);
         }
     }
-}
-
-#[test]
-fn patched_adoptions_match_a_recompile_after_every_adoption() {
-    assert_matches_oracle(analyzer);
-    assert_matches_oracle(|len| {
-        ConcurrentAnalyzer::new(analyzer(len), ConcurrentConfig::default())
-    });
 }
 
 /// Drives `src` through peer 1 until the engine adopts it there.
@@ -189,7 +187,7 @@ fn adopt(engine: &ConcurrentAnalyzer, src: u32) {
 
 #[test]
 fn a_held_snapshot_is_copied_and_an_unheld_one_is_patched_in_place() {
-    let engine = ConcurrentAnalyzer::new(analyzer(32), ConcurrentConfig::default());
+    let engine = engine(32);
     let (first, second) = (0x0321_0007u32, 0x0321_0107u32);
 
     // Copy-on-write: a reader thread holds the published table across an

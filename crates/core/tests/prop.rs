@@ -76,7 +76,7 @@ proptest! {
 
     #[test]
     fn enhanced_accounting_identities(flows in proptest::collection::vec(arb_flow(), 1..120)) {
-        let mut a = Trainer::new(tiny_config(Mode::Enhanced))
+        let a = Trainer::new(tiny_config(Mode::Enhanced))
             .train_enhanced(eia(), &training())
             .expect("training succeeds");
         let mut attacks = 0u64;
@@ -91,14 +91,14 @@ proptest! {
         prop_assert_eq!(m.eia_suspect, m.attacks() + m.forgiven);
         prop_assert_eq!(m.eia_attacks, 0, "EI never flags at the EIA stage");
         prop_assert_eq!(m.attacks(), attacks);
-        prop_assert_eq!(a.alerts().len() as u64, attacks, "one alert per attack verdict");
+        prop_assert_eq!(a.drain_alerts().len() as u64, attacks, "one alert per attack verdict");
         prop_assert_eq!(m.fast_path.count, m.eia_match);
         prop_assert_eq!(m.suspect_path.count, m.eia_suspect);
     }
 
     #[test]
     fn basic_accounting_identities(flows in proptest::collection::vec(arb_flow(), 1..120)) {
-        let mut a = Trainer::new(tiny_config(Mode::Basic)).train_basic(eia());
+        let a = Trainer::new(tiny_config(Mode::Basic)).train_basic(eia());
         for (peer, f) in &flows {
             a.process(PeerId(*peer), f);
         }
@@ -114,7 +114,7 @@ proptest! {
     #[test]
     fn verdicts_are_deterministic_given_history(flows in proptest::collection::vec(arb_flow(), 1..60)) {
         let run = || {
-            let mut a = Trainer::new(tiny_config(Mode::Enhanced))
+            let a = Trainer::new(tiny_config(Mode::Enhanced))
                 .train_enhanced(eia(), &training())
                 .expect("training succeeds");
             flows.iter().map(|(p, f)| a.process(PeerId(*p), f)).collect::<Vec<_>>()

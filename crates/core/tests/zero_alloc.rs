@@ -2,8 +2,9 @@
 //! global allocator wraps the system allocator, and after one warmup call
 //! the encode + search of a suspect flow must perform zero heap
 //! allocations. Later sections extend the proof to the whole pipeline with
-//! telemetry on, the batch path, span tracing, and the attack-shape
-//! sketches sampling every suspect.
+//! telemetry on, the attack-shape sketches sampling every suspect, and the
+//! batch path — with span tracing off and on — on the engine shape
+//! `infilterd` deploys.
 //!
 //! This file intentionally holds a single `#[test]` — a second test running
 //! concurrently in the same binary would allocate under the shared counter
@@ -101,7 +102,7 @@ fn suspect_path_encode_and_search_allocate_nothing_after_warmup() {
     assert!(after > before, "counter failed to observe an allocation");
 
     // --- Whole pipeline, telemetry on: a repeated forgiven suspect through
-    // `Analyzer::process` (EIA mismatch → scan → NNS → histograms, counter
+    // the per-flow entry (EIA mismatch → scan → NNS → histograms, counter
     // family, flight-recorder push) allocates nothing in steady state.
     // Adoption is disabled (threshold 0) so the sighting map is never
     // touched; everything else reuses warmed-up capacity.
@@ -114,7 +115,7 @@ fn suspect_path_encode_and_search_allocate_nothing_after_warmup() {
         infilter_core::PeerId(2),
         "3.32.0.0/11".parse().expect("static prefix"),
     );
-    let mut analyzer = infilter_core::Trainer::new(
+    let analyzer = infilter_core::Trainer::new(
         infilter_core::AnalyzerConfig::builder()
             .mode(infilter_core::Mode::Enhanced)
             .nns(NnsParams {
@@ -171,7 +172,7 @@ fn suspect_path_encode_and_search_allocate_nothing_after_warmup() {
         infilter_core::PeerId(2),
         "3.32.0.0/11".parse().expect("static prefix"),
     );
-    let mut shaped = infilter_core::Trainer::new(
+    let shaped = infilter_core::Trainer::new(
         infilter_core::AnalyzerConfig::builder()
             .mode(infilter_core::Mode::Enhanced)
             .nns(NnsParams {
@@ -219,46 +220,50 @@ fn suspect_path_encode_and_search_allocate_nothing_after_warmup() {
         "sketches must have observed the spoofed sources"
     );
 
-    // --- Batch path: the same suspect-heavy traffic through the
-    // record-slice batch API (transpose into the column scratch, sorted
-    // EIA pass, suspect analysis with sampled telemetry) also allocates
-    // nothing once the column buffers, index permutation, NNS memo and
-    // verdict vector have warmed up.
-    let mix: Vec<FlowRecord> = (0..32u32)
-        .map(|i| {
-            if i % 4 == 0 {
-                suspect
-            } else {
-                FlowRecord {
-                    src_addr: (0x0300_0000u32 + i).into(),
-                    ..http_flow(i)
-                }
+    // --- Batch path, on the shape `bootstrap_with_store` deploys: four
+    // shards, default 1-in-64 latency sampling, telemetry on (adoption off,
+    // as above). Suspect-heavy batches through `process_flow_batch_into`
+    // (frozen-LPM pass, suspect analysis with sampled telemetry) allocate
+    // nothing once the EIA-verdict scratch, NNS memo and verdict vector
+    // have warmed up.
+    let engine = infilter_core::ConcurrentAnalyzer::new(
+        analyzer,
+        infilter_core::ConcurrentConfig {
+            shards: 4,
+            ..infilter_core::ConcurrentConfig::default()
+        },
+    );
+    let mut mix = infilter_netflow::FlowBatch::new();
+    for i in 0..32u32 {
+        mix.push_record(&if i % 4 == 0 {
+            suspect
+        } else {
+            FlowRecord {
+                src_addr: (0x0300_0000u32 + i).into(),
+                ..http_flow(i)
             }
-        })
-        .collect();
+        });
+    }
     let mut verdicts: Vec<infilter_core::Verdict> = Vec::new();
-    for _ in 0..20u32 {
+    let run_batch = |verdicts: &mut Vec<infilter_core::Verdict>| {
         verdicts.clear();
-        analyzer.process_batch_into(
+        engine.process_flow_batch_into(
             infilter_core::PeerId(1),
             &mix,
             infilter_core::Effort::Full,
-            &mut verdicts,
+            verdicts,
         );
         assert_eq!(verdicts.len(), mix.len());
-    }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..200u32 {
-        verdicts.clear();
-        analyzer.process_batch_into(
-            infilter_core::PeerId(1),
-            &mix,
-            infilter_core::Effort::Full,
-            &mut verdicts,
-        );
         assert!(verdicts
             .iter()
             .all(|v| !matches!(v, infilter_core::Verdict::Attack(_))));
+    };
+    for _ in 0..20u32 {
+        run_batch(&mut verdicts);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..200u32 {
+        run_batch(&mut verdicts);
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(
@@ -276,26 +281,19 @@ fn suspect_path_encode_and_search_allocate_nothing_after_warmup() {
     // buffer and each completed trace is a Copy value pushed into the
     // tracer's pre-allocated ring, so steady state must stay at zero.
     let tracer = infilter_telemetry::Tracer::new(1, 64);
-    let traced_batch = |analyzer: &mut infilter_core::Analyzer,
-                        verdicts: &mut Vec<infilter_core::Verdict>| {
+    let traced_batch = |verdicts: &mut Vec<infilter_core::Verdict>| {
         let id = tracer.decide();
         infilter_telemetry::trace::begin(id);
-        verdicts.clear();
-        analyzer.process_batch_into(
-            infilter_core::PeerId(1),
-            &mix,
-            infilter_core::Effort::Full,
-            verdicts,
-        );
+        run_batch(verdicts);
         infilter_telemetry::trace::finish(tracer.collector());
     };
     // Warmup: first activation faults in the thread-local span buffer.
     for _ in 0..20u32 {
-        traced_batch(&mut analyzer, &mut verdicts);
+        traced_batch(&mut verdicts);
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..200u32 {
-        traced_batch(&mut analyzer, &mut verdicts);
+        traced_batch(&mut verdicts);
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(

@@ -239,7 +239,7 @@ impl Testbed {
 
     /// Runs one experiment end to end. Deterministic in the seed.
     pub fn run(&self) -> TestbedOutcome {
-        let mut analyzer = self.train();
+        let analyzer = self.train();
         let workload = self.generate_workload();
 
         let mut per_kind: BTreeMap<String, KindOutcome> = BTreeMap::new();
@@ -311,7 +311,7 @@ impl Testbed {
                 latency_sum / latency_n as f64
             },
             per_kind,
-            metrics: analyzer.metrics().clone(),
+            metrics: analyzer.metrics(),
         }
     }
 

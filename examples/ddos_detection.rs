@@ -65,11 +65,11 @@ fn main() {
 
     // Traceback: re-run the analysis to collect the alerts and attribute
     // them to ingress points (every alert names its Peer AS / BR).
-    let mut analyzer = bed.train();
+    let analyzer = bed.train();
     for lf in bed.generate_workload() {
         analyzer.process(lf.peer, &lf.record);
     }
-    let report = TracebackReport::from_alerts(analyzer.alerts());
+    let report = TracebackReport::from_alerts(&analyzer.drain_alerts());
     println!("\ntraceback — attack activity per ingress:");
     print!("{}", report.render());
     assert_eq!(

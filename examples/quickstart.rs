@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .bits_per_feature(32)
         .build()?;
-    let mut analyzer = Trainer::new(cfg).train_enhanced(eia, &normal)?;
+    let analyzer = Trainer::new(cfg).train_enhanced(eia, &normal)?;
 
     // 4. Classify flows.
     let legal = FlowRecord {

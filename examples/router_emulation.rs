@@ -105,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .filter(|r| r.dst_port == 80)
         .copied()
         .collect();
-    let mut analyzer = Trainer::new(
+    let analyzer = Trainer::new(
         AnalyzerConfig::builder()
             .nns(NnsParams {
                 d: 0,

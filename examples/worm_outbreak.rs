@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .bits_per_feature(32)
         .build()?;
-    let mut analyzer = Trainer::new(cfg).train_enhanced(eia, &training)?;
+    let analyzer = Trainer::new(cfg).train_enhanced(eia, &training)?;
 
     // The worm enters via Peer AS1, spoofing sources from the other nine
     // peers' address space (§6.3.1's attack placement).

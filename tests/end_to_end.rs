@@ -44,7 +44,7 @@ fn full_wire_path_detects_spoofed_worm_and_passes_legit_traffic() {
         input_if: 0,
         src_as: 0,
     });
-    let mut analyzer = Trainer::new(small_analyzer_config())
+    let analyzer = Trainer::new(small_analyzer_config())
         .train_enhanced(eia, &trainer_flow.replay_records(&training_trace, 0))
         .expect("training succeeds");
 
@@ -106,12 +106,10 @@ fn full_wire_path_detects_spoofed_worm_and_passes_legit_traffic() {
         "legit traffic from its own space must pass"
     );
     assert!(worm_flagged > 0, "the spoofed worm must be flagged");
-    assert!(
-        !analyzer.alerts().is_empty(),
-        "attacks must produce IDMEF alerts"
-    );
+    let alerts = analyzer.drain_alerts();
+    assert!(!alerts.is_empty(), "attacks must produce IDMEF alerts");
     // Every alert names the worm's ingress and is well-formed XML-ish.
-    for alert in analyzer.alerts() {
+    for alert in &alerts {
         assert_eq!(alert.ingress, PeerId(1));
         let xml = alert.to_xml();
         assert!(xml.contains("<idmef:Alert"));
@@ -147,8 +145,8 @@ fn basic_and_enhanced_modes_agree_on_clean_traffic() {
     let records = dagflow.replay_records(&trace, 0);
 
     let trainer = Trainer::new(small_analyzer_config());
-    let mut bi = trainer.train_basic(make_eia());
-    let mut ei = trainer
+    let bi = trainer.train_basic(make_eia());
+    let ei = trainer
         .train_enhanced(make_eia(), &records)
         .expect("training succeeds");
     for r in &records {
