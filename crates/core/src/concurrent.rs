@@ -25,6 +25,7 @@
 //!   so `Instant::now()` stays off the per-flow path.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -77,7 +78,9 @@ impl Default for ConcurrentConfig {
 #[derive(Debug)]
 struct Shard {
     scan: ScanAnalyzer,
-    alerts: Vec<IdmefAlert>,
+    /// Pending alerts, ascending by message id: ids are handed out under
+    /// this shard's lock ([`ConcurrentAnalyzer::queue_alert`]).
+    alerts: VecDeque<IdmefAlert>,
 }
 
 fn new_shards(shards: usize, scan: crate::ScanConfig) -> Vec<Mutex<Shard>> {
@@ -86,7 +89,7 @@ fn new_shards(shards: usize, scan: crate::ScanConfig) -> Vec<Mutex<Shard>> {
         .map(|_| {
             Mutex::new(Shard {
                 scan: ScanAnalyzer::new(scan),
-                alerts: Vec::new(),
+                alerts: VecDeque::new(),
             })
         })
         .collect()
@@ -172,6 +175,9 @@ pub struct ConcurrentAnalyzer {
     /// Authoritative write side (sightings, adoptions).
     write_side: Mutex<EiaRegistry>,
     shards: Vec<Mutex<Shard>>,
+    /// One spare alert queue per shard: a drain swaps them with the
+    /// shards' own and merges from here, so neither side re-grows.
+    drained: Mutex<Vec<VecDeque<IdmefAlert>>>,
     model: Option<Arc<ClusterModel>>,
     metrics: ConcurrentMetrics,
     telemetry: PipelineTelemetry,
@@ -191,6 +197,7 @@ impl ConcurrentAnalyzer {
         let one = analyzer.0;
         ConcurrentAnalyzer {
             shards: new_shards(ccfg.shards, one.cfg.scan),
+            drained: Mutex::new(vec![VecDeque::new(); ccfg.shards]),
             metrics: ConcurrentMetrics::default(),
             telemetry: PipelineTelemetry::new(one.cfg.telemetry, ccfg.shards),
             ccfg,
@@ -210,6 +217,7 @@ impl ConcurrentAnalyzer {
             eia: SnapshotCell::new(registry.snapshot()),
             write_side: Mutex::new(registry),
             shards: new_shards(ccfg.shards, cfg.scan),
+            drained: Mutex::new(vec![VecDeque::new(); ccfg.shards]),
             model: model.map(Arc::new),
             metrics: ConcurrentMetrics::default(),
             telemetry: PipelineTelemetry::new(cfg.telemetry, ccfg.shards),
@@ -258,11 +266,13 @@ impl ConcurrentAnalyzer {
             })
             .collect();
         let snap = self.eia.load();
+        let sightings = self.write_side.lock().sightings_window();
         crate::observe::render_exposition(
             &self.metrics.snapshot(),
             &self.telemetry,
             &occupancy,
             (snap.prefix_count(), snap.approx_bytes()),
+            sightings,
         )
     }
 
@@ -302,7 +312,9 @@ impl ConcurrentAnalyzer {
 
         // Stage 1: lock-free EIA check against the cached snapshot. A
         // statement of its own, so the snapshot handle is released before
-        // the suspect path may want to patch the table in place.
+        // the suspect path may want to patch the table in place. The
+        // version is read first: the snapshot is then at least that new.
+        let version = self.eia.version();
         let eia_verdict = self.cached_snapshot().classify(ingress, flow.src_addr);
         match eia_verdict {
             EiaVerdict::Match => {
@@ -315,7 +327,7 @@ impl ConcurrentAnalyzer {
                 started,
                 ingress,
                 flow,
-                expected,
+                (expected, version),
                 effort,
                 SuspectRecord::Full,
             ),
@@ -357,17 +369,20 @@ impl ConcurrentAnalyzer {
 
     /// Stages 2–3 plus alerting and suspect telemetry for one EIA-suspect
     /// flow. `started` carries the latency-sampling decision (and start
-    /// time) made by the caller.
+    /// time) made by the caller; `mismatch` is the peer the source was
+    /// expected at and the snapshot version that said so.
     fn suspect_path(
         &self,
         started: Option<Instant>,
         ingress: PeerId,
         flow: &FlowRecord,
-        expected: Option<PeerId>,
+        mismatch: (Option<PeerId>, u64),
         effort: Effort,
         record: SuspectRecord,
     ) -> Verdict {
         ConcurrentMetrics::bump(&self.metrics.eia_suspect);
+        let (expected, version) = mismatch;
+        let shard = self.shard_for(flow);
         let observe = record.observed();
         // Per-flow suspects are rare and slow, so when telemetry is on they
         // are all timed, not just the latency-sampled ones (the histogram
@@ -381,16 +396,14 @@ impl ConcurrentAnalyzer {
                 // BI (or the deepest degradation rung) flags every suspect
                 // directly.
                 ConcurrentMetrics::bump(&self.metrics.eia_attacks);
-                (
-                    Verdict::Attack(AttackStage::EiaMismatch { expected }),
-                    SuspectObservation::default(),
-                )
+                let stage = AttackStage::EiaMismatch { expected };
+                self.queue_alert(&mut self.shards[shard].lock(), flow, ingress, stage);
+                (Verdict::Attack(stage), SuspectObservation::default())
             }
-            (Mode::Enhanced, effort) => self.enhanced_analysis(ingress, flow, effort, observe),
+            (Mode::Enhanced, effort) => {
+                self.enhanced_analysis(shard, ingress, flow, version, effort, observe)
+            }
         };
-        if let Verdict::Attack(stage) = verdict {
-            self.emit_alert(flow, ingress, stage);
-        }
         let elapsed = suspect_started.map(|s| s.elapsed());
         if started.is_some() {
             self.metrics
@@ -399,7 +412,7 @@ impl ConcurrentAnalyzer {
         }
         match record {
             SuspectRecord::Full => self.telemetry.record_suspect(
-                self.shard_for(flow),
+                shard,
                 ingress,
                 expected,
                 flow,
@@ -407,13 +420,10 @@ impl ConcurrentAnalyzer {
                 verdict,
                 elapsed.map_or(0, saturating_nanos),
             ),
-            SuspectRecord::Light(peer) => self.telemetry.record_suspect_light(
-                self.shard_for(flow),
-                ingress,
-                flow.src_addr,
-                peer,
-                verdict,
-            ),
+            SuspectRecord::Light(peer) => {
+                self.telemetry
+                    .record_suspect_light(shard, ingress, flow.src_addr, peer, verdict)
+            }
         }
         verdict
     }
@@ -498,7 +508,8 @@ impl ConcurrentAnalyzer {
                         let peer = peer.get_or_insert_with(|| self.telemetry.peer_cell(ingress));
                         SuspectRecord::Light(peer)
                     };
-                    out.push(self.suspect_path(started, ingress, &flow, expected, effort, record));
+                    let mismatch = (expected, snap_version);
+                    out.push(self.suspect_path(started, ingress, &flow, mismatch, effort, record));
                     if self.eia.version() != snap_version {
                         stale = true;
                     }
@@ -513,28 +524,37 @@ impl ConcurrentAnalyzer {
         BATCH_SCRATCH.with(|s| *s.borrow_mut() = eia);
     }
 
+    /// Stages 2–3 for one suspect, queueing the alert of whichever flags
+    /// it. `version` is the snapshot version the EIA check ran against.
     fn enhanced_analysis(
         &self,
+        shard: usize,
         ingress: PeerId,
         flow: &FlowRecord,
+        version: u64,
         effort: Effort,
         observe: bool,
     ) -> (Verdict, SuspectObservation) {
         // Stage 2: Scan Analysis under this suspect's shard lock only.
         // When nothing will record the observation, skip the distinct-
         // counter reads — the push still updates the scan state, so
-        // verdicts are unaffected.
+        // verdicts are unaffected. A hit queues its alert before the lock
+        // is let go.
         trace::start("scan");
         let (scan_hit, mut observed) = {
-            let mut shard = self.shards[self.shard_for(flow)].lock();
-            if observe {
+            let mut shard = self.shards[shard].lock();
+            let scanned = if observe {
                 scan_stage(&mut shard.scan, flow)
             } else {
                 (
                     scan_verdict_stage(shard.scan.push(flow)),
                     SuspectObservation::default(),
                 )
+            };
+            if let Some(stage) = scanned.0 {
+                self.queue_alert(&mut shard, flow, ingress, stage);
             }
+            scanned
         };
         trace::end();
         if let Some(stage) = scan_hit {
@@ -576,7 +596,7 @@ impl ConcurrentAnalyzer {
                 // Within normal behaviour: not an attack; count toward
                 // dynamic EIA adoption (§5.2(a)).
                 ConcurrentMetrics::bump(&self.metrics.forgiven);
-                if self.record_sighting(ingress, flow.src_addr) {
+                if self.record_sighting(ingress, flow.src_addr, version) {
                     ConcurrentMetrics::bump(&self.metrics.adoptions);
                     self.telemetry.record_adoption(ingress);
                 }
@@ -584,6 +604,7 @@ impl ConcurrentAnalyzer {
             }
             SuspectOutcome::Attack(stage) => {
                 ConcurrentMetrics::bump(&self.metrics.nns_attacks);
+                self.queue_alert(&mut self.shards[shard].lock(), flow, ingress, stage);
                 Verdict::Attack(stage)
             }
         };
@@ -618,10 +639,11 @@ impl ConcurrentAnalyzer {
         })
     }
 
-    /// Write-side sighting; an adoption is published before the lock is
-    /// released, so the adopted source takes the fast path on its very
-    /// next flow. Returns whether this sighting adopted the source.
-    fn record_sighting(&self, ingress: PeerId, addr: Ipv4Addr) -> bool {
+    /// Write-side sighting of a source that was a mismatch at snapshot
+    /// `version`; an adoption is published before the lock is released, so
+    /// the adopted source takes the fast path on its very next flow.
+    /// Returns whether this sighting adopted the source.
+    fn record_sighting(&self, ingress: PeerId, addr: Ipv4Addr, version: u64) -> bool {
         // Adoption disabled: the registry would refuse the sighting anyway
         // (see `EiaRegistry::record_sighting`), so don't serialise every
         // NNS-cleared suspect on the write-side mutex to learn that.
@@ -629,6 +651,16 @@ impl ConcurrentAnalyzer {
             return false;
         }
         let mut registry = self.write_side.lock();
+        // No double adoption. Every publish happens under this lock, so an
+        // unchanged version means the mismatch still holds; after a publish
+        // the published table (it mirrors the registry) is asked again —
+        // never the write-side trie, bit by bit. The handle is dropped
+        // before any patching.
+        let rehomed =
+            self.eia.version() != version && self.eia.load().classify(ingress, addr).is_match();
+        if rehomed {
+            return false;
+        }
         match registry.sight(ingress, addr) {
             Some(adopted) => {
                 self.publish_adoption(adopted, ingress);
@@ -680,25 +712,46 @@ impl ConcurrentAnalyzer {
         prefixes
     }
 
-    fn emit_alert(&self, flow: &FlowRecord, ingress: PeerId, stage: AttackStage) {
+    /// Queues one alert on the flow's shard, whose lock the caller holds:
+    /// the id is taken under it, so every queue ascends by id.
+    fn queue_alert(
+        &self,
+        shard: &mut Shard,
+        flow: &FlowRecord,
+        ingress: PeerId,
+        stage: AttackStage,
+    ) {
         let id = self.alert_seq.fetch_add(1, Ordering::Relaxed);
-        let alert = IdmefAlert::new(id, flow, ingress, stage);
+        shard
+            .alerts
+            .push_back(IdmefAlert::new(id, flow, ingress, stage));
         self.telemetry.journal_event(JournalEvent::Alert {
             peer: ingress,
             message_id: id,
         });
-        self.shards[self.shard_for(flow)].lock().alerts.push(alert);
     }
 
-    /// Drains pending IDMEF alerts from every shard, ordered by message id
-    /// (the order `process` assigned them).
+    /// Hands every pending IDMEF alert to `sink`, ordered by message id
+    /// (the order `process` assigned them): a merge of the per-shard
+    /// queues, which keep their capacity across drains.
+    pub fn drain_alerts_into(&self, sink: &mut dyn FnMut(IdmefAlert)) {
+        let mut runs = self.drained.lock();
+        for (shard, run) in self.shards.iter().zip(runs.iter_mut()) {
+            std::mem::swap(&mut shard.lock().alerts, run);
+        }
+        while let Some(run) = runs
+            .iter_mut()
+            .filter(|run| !run.is_empty())
+            .min_by_key(|run| run[0].message_id)
+        {
+            sink(run.pop_front().expect("non-empty run"));
+        }
+    }
+
+    /// [`ConcurrentAnalyzer::drain_alerts_into`] a fresh `Vec`.
     pub fn drain_alerts(&self) -> Vec<IdmefAlert> {
-        let mut alerts: Vec<IdmefAlert> = self
-            .shards
-            .iter()
-            .flat_map(|s| std::mem::take(&mut s.lock().alerts))
-            .collect();
-        alerts.sort_by_key(|a| a.message_id);
+        let mut alerts = Vec::new();
+        self.drain_alerts_into(&mut |alert| alerts.push(alert));
         alerts
     }
 }

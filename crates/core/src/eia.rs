@@ -1,7 +1,7 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use infilter_net::{FrozenLpm, FxHashMap, Prefix, PrefixTrie, TrieWalker};
+use infilter_net::{FlatTable, FrozenLpm, Prefix, PrefixTrie};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a peer AS / border-router ingress point of the target
@@ -151,49 +151,6 @@ impl EiaSnapshot {
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, PeerId)> + '_ {
         self.lpm.iter().map(|(p, v)| (p, *v))
     }
-
-    /// A batch classifier for flows observed at `observed`, backed by the
-    /// frozen LPM (input order does not matter).
-    pub fn classifier(&self, observed: PeerId) -> EiaClassifier<'_> {
-        EiaClassifier {
-            inner: ClassifierInner::Frozen(&self.lpm),
-            observed,
-        }
-    }
-}
-
-/// Amortised EIA checker for a run of flows sharing one ingress. Created
-/// by [`EiaSnapshot::classifier`] (frozen-LPM backed: every lookup is a
-/// constant number of memory touches) or [`EiaRegistry::classifier`]
-/// (backed by a [`TrieWalker`] over the live trie, fastest on
-/// address-sorted input). Both borrow the underlying table, so the
-/// registry cannot adopt while one is alive; outcomes are identical to
-/// [`EiaSnapshot::classify`] / [`EiaRegistry::classify`] on the same data.
-#[derive(Debug)]
-pub struct EiaClassifier<'a> {
-    inner: ClassifierInner<'a>,
-    observed: PeerId,
-}
-
-#[derive(Debug)]
-enum ClassifierInner<'a> {
-    Frozen(&'a FrozenLpm<PeerId>),
-    // Boxed: a walker carries its full 32-level resume path, and nothing
-    // hot constructs this variant (the batch paths classify against the
-    // frozen snapshot directly).
-    Walker(Box<TrieWalker<'a, PeerId>>),
-}
-
-impl EiaClassifier<'_> {
-    /// The basic InFilter check for one flow, identical in outcome to
-    /// [`EiaSnapshot::classify`] on the same data.
-    pub fn classify(&mut self, addr: Ipv4Addr) -> EiaVerdict {
-        let expected = match &mut self.inner {
-            ClassifierInner::Frozen(lpm) => lpm.lookup(addr).map(|(_, p)| *p),
-            ClassifierInner::Walker(walker) => walker.lookup(addr).map(|(_, p)| *p),
-        };
-        verdict_for(expected, self.observed)
-    }
 }
 
 /// Shared match rule so [`EiaRegistry`] and [`EiaSnapshot`] can never
@@ -205,6 +162,71 @@ fn verdict_for(expected: Option<PeerId>, observed: PeerId) -> EiaVerdict {
     }
 }
 
+/// Adoption candidates remembered at once. A `const`, not a knob: the
+/// point is that it is fixed, so a spoofed flood cannot grow the state
+/// §5.2(a) keeps per sighted source — what §4.1's sliding buffer does for
+/// scan state. About 3 MB, allocated at the first sighting.
+const SIGHTINGS_CAPACITY: usize = 65_536;
+
+/// Sighting counts of the last `capacity` distinct `(peer, range)`
+/// adoption candidates: a ring in arrival order and a [`FlatTable`] index
+/// over it, allocated once.
+///
+/// A new candidate takes the *oldest* slot — eviction follows arrival
+/// order alone, never the hash — and starts at one sighting, never at the
+/// evicted count: an inherited count (SpaceSaving's over-estimate) would
+/// let a flood manufacture adoptions. So the window fails safe: a flood
+/// can push a candidate out and delay its adoption, never cause one.
+#[derive(Debug, Clone)]
+struct Sightings {
+    /// `(packed candidate, sightings)`; 0 sightings marks a slot unused or
+    /// since adopted.
+    ring: Vec<(u64, u32)>,
+    oldest: usize,
+    /// Candidate → its ring slot + 1.
+    index: FlatTable,
+    evicted: u64,
+}
+
+impl Sightings {
+    fn new(capacity: usize) -> Sightings {
+        Sightings {
+            ring: vec![(0, 0); capacity],
+            oldest: 0,
+            index: FlatTable::new(capacity),
+            evicted: 0,
+        }
+    }
+
+    /// Counts one sighting of `key`. True when that is its `threshold`-th
+    /// inside the window; the candidate then leaves it.
+    fn sight(&mut self, key: u64, threshold: u32) -> bool {
+        let slot = match self.index.get(key) {
+            0 if threshold <= 1 => return true,
+            0 => {
+                let slot = self.oldest;
+                self.oldest = (slot + 1) % self.ring.len();
+                let (old, live) = self.ring[slot];
+                if live != 0 {
+                    self.index.sub(old, u32::MAX);
+                    self.evicted += 1;
+                }
+                self.ring[slot] = (key, 0);
+                self.index.add(key, slot as u32 + 1);
+                slot
+            }
+            found => found as usize - 1,
+        };
+        self.ring[slot].1 += 1;
+        if self.ring[slot].1 < threshold {
+            return false;
+        }
+        self.ring[slot].1 = 0;
+        self.index.sub(key, u32::MAX);
+        true
+    }
+}
+
 /// The per-peer Expected IP Address sets, backed by one shared
 /// longest-prefix-match trie (most-specific prefix decides ownership, the
 /// paper's `4.2.101.0/24` vs `4.0.0.0/8` rule).
@@ -213,13 +235,16 @@ fn verdict_for(expected: Option<PeerId>, observed: PeerId) -> EiaVerdict {
 /// adoption: a source seen at least `adoption_threshold` times at the same
 /// peer is adopted into that peer's EIA set as a host route. This is also
 /// the mechanism that lets sustained route changes re-home a source — and
-/// that attackers erode under the stress test (§6.3.2).
+/// that attackers erode under the stress test (§6.3.2). One deviation from
+/// the paper: pending counts live in a fixed window, so a candidate is
+/// forgotten once 65 536 newer ones have been sighted.
 #[derive(Debug, Clone)]
 pub struct EiaRegistry {
     trie: PrefixTrie<PeerId>,
     adoption_threshold: u32,
     adoption_prefix_len: u8,
-    sightings: FxHashMap<(PeerId, Prefix), u32>,
+    /// Allocated at the first sighting: most registries never see one.
+    sightings: Option<Sightings>,
     adopted: u64,
     /// Adoption events since the last [`EiaRegistry::drain_events`],
     /// bounded by [`EVENT_BUFFER_CAP`] (overflow is counted, not stored).
@@ -236,7 +261,7 @@ impl EiaRegistry {
             trie: PrefixTrie::new(),
             adoption_threshold,
             adoption_prefix_len: 32,
-            sightings: FxHashMap::default(),
+            sightings: None,
             adopted: 0,
             events: Vec::new(),
             events_dropped: 0,
@@ -250,7 +275,7 @@ impl EiaRegistry {
     }
 
     /// Changes the adoption threshold (0 disables adoption). Pending
-    /// sighting counts are preserved.
+    /// sighting counts are preserved; they are as wide as the threshold.
     pub fn set_adoption_threshold(&mut self, threshold: u32) {
         self.adoption_threshold = threshold;
     }
@@ -284,11 +309,6 @@ impl EiaRegistry {
         self.trie.len()
     }
 
-    /// Trie nodes backing the write-side EIA sets (structural size).
-    pub fn node_count(&self) -> usize {
-        self.trie.node_count()
-    }
-
     /// Approximate resident bytes of the write-side trie arena.
     pub fn approx_bytes(&self) -> usize {
         self.trie.approx_bytes()
@@ -303,6 +323,13 @@ impl EiaRegistry {
     /// Sources adopted dynamically so far.
     pub fn adopted_count(&self) -> u64 {
         self.adopted
+    }
+
+    /// The sightings window: adoption candidates in it (at most 65 536),
+    /// and candidates newer ones have pushed out of it, unadopted, so far.
+    pub fn sightings_window(&self) -> (usize, u64) {
+        let window = self.sightings.as_ref();
+        window.map_or((0, 0), |w| (w.index.len(), w.evicted))
     }
 
     /// Moves every adoption event buffered since the last drain into
@@ -360,15 +387,6 @@ impl EiaRegistry {
         verdict_for(self.expected_peer(addr), observed)
     }
 
-    /// A batch classifier for flows observed at `observed`, walking the
-    /// live trie; see [`EiaClassifier`].
-    pub fn classifier(&self, observed: PeerId) -> EiaClassifier<'_> {
-        EiaClassifier {
-            inner: ClassifierInner::Walker(Box::new(self.trie.walker())),
-            observed,
-        }
-    }
-
     /// Compiles the current EIA sets into an immutable snapshot for
     /// lock-free readers: the dynamic trie is flattened into a
     /// [`FrozenLpm`] so every subsequent classification costs a constant
@@ -387,37 +405,36 @@ impl EiaRegistry {
     /// `true` if this sighting crossed the threshold and the source was
     /// adopted into `observed`'s EIA set.
     pub fn record_sighting(&mut self, observed: PeerId, addr: Ipv4Addr) -> bool {
-        self.sight(observed, addr).is_some()
+        // Already expected here (possibly via an earlier adoption): nothing
+        // to learn, and no double adoption.
+        !self.classify(observed, addr).is_match() && self.sight(observed, addr).is_some()
     }
 
-    /// [`EiaRegistry::record_sighting`], returning the range this sighting
-    /// adopted into `observed`'s EIA set — what the engine patches into
-    /// its published snapshot.
+    /// [`EiaRegistry::record_sighting`] for a caller that knows `addr` is
+    /// still a mismatch at `observed`, returning the range this sighting
+    /// adopted — what the engine patches into its published snapshot.
     pub(crate) fn sight(&mut self, observed: PeerId, addr: Ipv4Addr) -> Option<Prefix> {
         if self.adoption_threshold == 0 {
             return None;
         }
-        // Already expected here (possibly via an earlier adoption): nothing
-        // to learn, and no double adoption.
-        if self.classify(observed, addr).is_match() {
+        let range = Prefix::host(addr).truncate(self.adoption_prefix_len);
+        let key = (u64::from(observed.0) << 40)
+            | (u64::from(range.len()) << 32)
+            | u64::from(range.bits());
+        let window = self
+            .sightings
+            .get_or_insert_with(|| Sightings::new(SIGHTINGS_CAPACITY));
+        if !window.sight(key, self.adoption_threshold) {
             return None;
         }
-        let range = Prefix::host(addr).truncate(self.adoption_prefix_len);
-        let count = self.sightings.entry((observed, range)).or_insert(0);
-        *count += 1;
-        if *count >= self.adoption_threshold {
-            self.sightings.remove(&(observed, range));
-            self.trie.insert(range, observed);
-            self.adopted += 1;
-            self.push_event(AdoptionEvent {
-                peer: observed,
-                prefix: range,
-                action: AdoptionAction::Adopted,
-            });
-            Some(range)
-        } else {
-            None
-        }
+        self.trie.insert(range, observed);
+        self.adopted += 1;
+        self.push_event(AdoptionEvent {
+            peer: observed,
+            prefix: range,
+            action: AdoptionAction::Adopted,
+        });
+        Some(range)
     }
 }
 
@@ -540,25 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn classifier_agrees_with_classify() {
-        let mut r = registry();
-        r.preload(PeerId(2), "3.1.2.0/24".parse().unwrap());
-        let snap = r.snapshot();
-        let addrs = ["3.0.5.5", "3.40.5.5", "3.1.2.9", "3.1.3.9", "200.1.1.1"];
-        for peer in [PeerId(1), PeerId(2)] {
-            let mut from_registry = r.classifier(peer);
-            let mut from_snapshot = snap.classifier(peer);
-            for s in addrs {
-                assert_eq!(from_registry.classify(addr(s)), r.classify(peer, addr(s)));
-                assert_eq!(
-                    from_snapshot.classify(addr(s)),
-                    snap.classify(peer, addr(s))
-                );
-            }
-        }
-    }
-
-    #[test]
     fn snapshot_batch_classification_matches_scalar() {
         let mut r = registry();
         r.preload(PeerId(2), "3.1.2.0/24".parse().unwrap());
@@ -646,6 +644,109 @@ mod tests {
         r.apply_adoption(PeerId(1), "88.1.2.3/32".parse().unwrap());
         assert_eq!(r.adopted_count(), 2);
         assert_eq!(r.snapshot().adopted_count(), 2);
+    }
+
+    /// The window's contract, past its capacity, by brute force: log every
+    /// new candidate in arrival order; a sighting counts only if its
+    /// candidate is among the last `CAPACITY` logged and not yet adopted.
+    /// The real window must adopt on exactly the same sightings — so never
+    /// on fewer than `THRESHOLD` inside the window — must never hold more
+    /// than `CAPACITY` candidates, and must do so whatever hashes its index
+    /// (eviction follows arrival order, not the hash).
+    #[test]
+    fn window_past_capacity_matches_a_log_of_arrivals_under_any_hash() {
+        const CAPACITY: usize = 32;
+        const THRESHOLD: u32 = 3;
+        for multiplier in [0x9e37_79b9_7f4a_7c15, 0x2545_f491_4f6c_dd1d, (1 << 61) | 1] {
+            let mut window = Sightings::new(CAPACITY);
+            window.index = FlatTable::with_multiplier(CAPACITY, multiplier);
+            let mut arrivals: Vec<(u64, u32)> = Vec::new();
+            let (mut adoptions, mut evicted) = (0, 0);
+            let mut state = 0x1f11u64;
+            for i in 0..40_000 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                // A hot set that recurs inside the window, over a flood of
+                // one-off candidates that pushes it out now and then.
+                let key = match (state >> 60) % 4 {
+                    0 => ((state >> 33) % 24) << 40,
+                    _ => (state >> 20) | 1,
+                };
+                let start = arrivals.len().saturating_sub(CAPACITY);
+                let seen = arrivals[start..]
+                    .iter_mut()
+                    .find(|(candidate, count)| *candidate == key && *count != 0);
+                let want = match seen {
+                    Some((_, count)) => {
+                        *count += 1;
+                        let adopt = *count >= THRESHOLD;
+                        *count *= u32::from(!adopt);
+                        adopt
+                    }
+                    None => {
+                        evicted += u64::from(arrivals.len() >= CAPACITY && arrivals[start].1 != 0);
+                        arrivals.push((key, 1));
+                        false
+                    }
+                };
+                assert_eq!(
+                    window.sight(key, THRESHOLD),
+                    want,
+                    "sighting {i} of {key:#x}"
+                );
+                adoptions += u32::from(want);
+                let start = arrivals.len().saturating_sub(CAPACITY);
+                let live = arrivals[start..].iter().filter(|(_, c)| *c != 0).count();
+                assert_eq!(window.index.len(), live);
+                assert!(live <= CAPACITY);
+                assert_eq!(window.evicted, evicted);
+            }
+            assert!(
+                adoptions > 100 && evicted > 10_000,
+                "{adoptions} / {evicted}"
+            );
+        }
+    }
+
+    #[test]
+    fn pending_counts_survive_threshold_changes_and_are_as_wide_as_the_threshold() {
+        let mut r = registry();
+        r.set_adoption_threshold(100);
+        for a in ["77.1.2.3", "88.1.2.3"] {
+            for _ in 0..3 {
+                assert!(!r.record_sighting(PeerId(1), addr(a)));
+            }
+        }
+        r.set_adoption_threshold(4);
+        assert!(r.record_sighting(PeerId(1), addr("77.1.2.3")), "3 kept + 1");
+        // Lowered past a pending count: the next sighting adopts.
+        r.set_adoption_threshold(2);
+        assert!(r.record_sighting(PeerId(1), addr("88.1.2.3")));
+
+        // The widest threshold the config can carry is representable: the
+        // count reaches it without wrapping.
+        let cfg = crate::AnalyzerConfig::builder().adoption_threshold(u32::MAX);
+        r.set_adoption_threshold(cfg.build().expect("valid").adoption_threshold);
+        assert!(!r.record_sighting(PeerId(1), addr("99.1.2.3")));
+        let window = r
+            .sightings
+            .as_mut()
+            .expect("allocated by the first sighting");
+        let slot = window.ring.iter().rposition(|(_, count)| *count == 1);
+        window.ring[slot.expect("the pending candidate")].1 = u32::MAX - 1;
+        assert!(r.record_sighting(PeerId(1), addr("99.1.2.3")));
+        assert_eq!(r.sightings_window(), (0, 0));
+    }
+
+    #[test]
+    fn registries_that_never_sight_stay_small() {
+        let mut r = registry();
+        assert!(r.sightings.is_none());
+        r.set_adoption_threshold(0);
+        r.record_sighting(PeerId(1), addr("77.1.2.3"));
+        assert!(r.sightings.is_none(), "adoption off: nothing to remember");
+        assert!(r.clone().sightings.is_none());
     }
 
     #[test]

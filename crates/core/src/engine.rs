@@ -56,7 +56,11 @@ pub trait Engine {
         self.telemetry().ops_json(window)
     }
 
-    /// Drains pending IDMEF alerts in generation order.
+    /// Hands every pending IDMEF alert to `sink` in generation order,
+    /// without allocating at a steady alert rate.
+    fn drain_alerts_into(&mut self, sink: &mut dyn FnMut(IdmefAlert));
+
+    /// Drains pending IDMEF alerts in generation order into a fresh `Vec`.
     fn drain_alerts(&mut self) -> Vec<IdmefAlert>;
 
     /// The EIA table readers currently see.
@@ -102,6 +106,10 @@ impl Engine for ConcurrentAnalyzer {
 
     fn explain_last(&self, n: usize) -> Vec<FlowDecision> {
         ConcurrentAnalyzer::explain_last(self, n)
+    }
+
+    fn drain_alerts_into(&mut self, sink: &mut dyn FnMut(IdmefAlert)) {
+        ConcurrentAnalyzer::drain_alerts_into(self, sink)
     }
 
     fn drain_alerts(&mut self) -> Vec<IdmefAlert> {

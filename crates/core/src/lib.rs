@@ -66,9 +66,7 @@ mod traceback;
 pub use alert::{IdmefAlert, ParseAlertError};
 pub use cluster::{ClusterModel, SubclusterModel, ThresholdPolicy, TrainError};
 pub use concurrent::{ConcurrentAnalyzer, ConcurrentConfig};
-pub use eia::{
-    AdoptionAction, AdoptionEvent, EiaClassifier, EiaRegistry, EiaSnapshot, EiaVerdict, PeerId,
-};
+pub use eia::{AdoptionAction, AdoptionEvent, EiaRegistry, EiaSnapshot, EiaVerdict, PeerId};
 pub use engine::Engine;
 pub use metrics::{AnalyzerMetrics, AtomicStageLatency, ConcurrentMetrics, StageLatency};
 pub use observe::{

@@ -1339,6 +1339,8 @@ pub const METRIC_FAMILIES: &[&str] = &[
     "infilter_adoptions_total",
     "infilter_eia_prefixes",
     "infilter_eia_bytes",
+    "infilter_sightings_entries",
+    "infilter_sightings_evicted_total",
     "infilter_snapshot_republish_total",
     "infilter_recorder_dropped_total",
     "infilter_journal_events_total",
@@ -1378,13 +1380,15 @@ const SCAN_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
 
 /// Renders one Prometheus 0.0.4 exposition page from a counter snapshot,
 /// the telemetry state, per-shard scan occupancy `(buffered flows,
-/// counter entries)` gauges polled at scrape time, and the published
-/// frozen-EIA table size as `(prefixes, approximate resident bytes)`.
+/// counter entries)` gauges polled at scrape time, the published
+/// frozen-EIA table size as `(prefixes, approximate resident bytes)`, and
+/// the write side's sightings window as `(live candidates, evicted)`.
 pub(crate) fn render_exposition(
     metrics: &AnalyzerMetrics,
     telemetry: &PipelineTelemetry,
     shard_occupancy: &[(usize, usize)],
     eia_table: (usize, usize),
+    sightings: (usize, u64),
 ) -> String {
     let mut page = PromText::new();
     page.counter(
@@ -1430,6 +1434,16 @@ pub(crate) fn render_exposition(
         "infilter_eia_bytes",
         "Approximate resident bytes of the published frozen EIA table.",
         eia_table.1 as f64,
+    );
+    page.gauge(
+        "infilter_sightings_entries",
+        "Adoption candidates in the sightings window (capacity 65536).",
+        sightings.0 as f64,
+    );
+    page.counter(
+        "infilter_sightings_evicted_total",
+        "Adoption candidates pushed out of the window before reaching the threshold.",
+        sightings.1,
     );
     page.counter(
         "infilter_snapshot_republish_total",
@@ -1748,7 +1762,7 @@ mod tests {
             eia_attacks: 1,
             ..AnalyzerMetrics::default()
         };
-        let page = render_exposition(&metrics, &telemetry, &[(3, 2), (0, 0)], (42, 4096));
+        let page = render_exposition(&metrics, &telemetry, &[(3, 2), (0, 0)], (42, 4096), (7, 9));
         for family in METRIC_FAMILIES {
             assert!(
                 page.contains(&format!("# TYPE {family} ")),
@@ -1759,6 +1773,8 @@ mod tests {
         assert!(page.contains("infilter_peer_suspects_total{peer=\"3\"} 1"));
         assert!(page.contains("infilter_shard_scan_buffered{shard=\"0\"} 3"));
         assert!(page.contains("infilter_snapshot_republish_total 1"));
+        assert!(page.contains("infilter_sightings_entries 7"));
+        assert!(page.contains("infilter_sightings_evicted_total 9"));
     }
 
     #[test]
@@ -1871,7 +1887,13 @@ mod tests {
         telemetry.observe_fast_latency(2_000);
         infilter_telemetry::trace::abandon();
         assert_eq!(telemetry.fast_exemplar(), Some((4_000, 41)));
-        let page = render_exposition(&AnalyzerMetrics::default(), &telemetry, &[(0, 0)], (0, 0));
+        let page = render_exposition(
+            &AnalyzerMetrics::default(),
+            &telemetry,
+            &[(0, 0)],
+            (0, 0),
+            (0, 0),
+        );
         assert!(
             page.contains("# EXEMPLAR infilter_fast_path_latency_ns value=4000 trace_id=41"),
             "exemplar comment missing:\n{page}"

@@ -1,7 +1,7 @@
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
-use infilter_net::{FxBuildHasher, FxHashMap};
+use infilter_net::FlatTable;
 use infilter_netflow::FlowRecord;
 use serde::{Deserialize, Serialize};
 
@@ -105,12 +105,31 @@ impl ScanVerdict {
 #[derive(Debug, Clone)]
 pub struct ScanAnalyzer {
     cfg: ScanConfig,
-    buffer: VecDeque<(u16, Ipv4Addr, u16)>,
-    // Fx-hashed (not SipHash): these maps are hit several times per suspect
-    // flow with small integer keys, and the sliding buffer bounds what an
-    // attacker can keep resident, so DoS-resistant hashing buys nothing.
-    hosts_by_port: FxHashMap<(u16, u16), FxHashMap<Ipv4Addr, usize>>,
-    ports_by_host: FxHashMap<(u16, Ipv4Addr), FxHashMap<u16, usize>>,
+    /// The last `buffer_size` probe-sized suspects as packed
+    /// `(input_if, dst_addr, dst_port)` triples, oldest first.
+    buffer: VecDeque<u64>,
+    // Three flat tables sized to the buffer, so a suspect costs a handful
+    // of probes into memory that never moves: how often each triple is
+    // buffered, and — bumped only when a triple appears (0→1) or leaves
+    // (1→0) — the distinct hosts per `(input_if, dst_port)` and distinct
+    // ports per `(input_if, dst_addr)`.
+    triples: FlatTable,
+    hosts_by_port: FlatTable,
+    ports_by_host: FlatTable,
+}
+
+/// `(input_if, dst_port)` of a packed triple.
+fn port_key(triple: u64) -> u64 {
+    (triple >> 48 << 16) | (triple & 0xffff)
+}
+
+/// `(input_if, dst_addr)` of a packed triple.
+fn host_key(triple: u64) -> u64 {
+    triple >> 16
+}
+
+fn pack(ingress: u16, addr: Ipv4Addr, port: u16) -> u64 {
+    (u64::from(ingress) << 48) | (u64::from(u32::from(addr)) << 16) | u64::from(port)
 }
 
 impl ScanAnalyzer {
@@ -121,25 +140,17 @@ impl ScanAnalyzer {
     /// Panics if `buffer_size` is zero.
     pub fn new(cfg: ScanConfig) -> ScanAnalyzer {
         assert!(cfg.buffer_size > 0, "scan buffer must not be empty");
-        // The counter maps can never hold more keys than buffered flows, so
-        // pre-sizing them to the buffer eliminates rehashing on the suspect
-        // path for the life of the analyzer.
         ScanAnalyzer {
             cfg,
             buffer: VecDeque::with_capacity(cfg.buffer_size),
-            hosts_by_port: FxHashMap::with_capacity_and_hasher(
-                cfg.buffer_size,
-                FxBuildHasher::default(),
-            ),
-            ports_by_host: FxHashMap::with_capacity_and_hasher(
-                cfg.buffer_size,
-                FxBuildHasher::default(),
-            ),
+            triples: FlatTable::new(cfg.buffer_size),
+            hosts_by_port: FlatTable::new(cfg.buffer_size),
+            ports_by_host: FlatTable::new(cfg.buffer_size),
         }
     }
 
-    /// Outer counter-map entries currently held — bounded by the number of
-    /// buffered flows, because eviction removes emptied entries.
+    /// Live `(input_if, dst_port)` plus `(input_if, dst_addr)` counters —
+    /// at most two per buffered flow, because eviction frees emptied ones.
     pub fn counter_entries(&self) -> usize {
         self.hosts_by_port.len() + self.ports_by_host.len()
     }
@@ -155,44 +166,28 @@ impl ScanAnalyzer {
         if flow.packets > self.cfg.max_packets_per_probe {
             return ScanVerdict::Pass;
         }
-        let ingress = flow.input_if;
-        let entry = (ingress, flow.dst_addr, flow.dst_port);
         if self.buffer.len() == self.cfg.buffer_size {
-            if let Some((old_if, old_addr, old_port)) = self.buffer.pop_front() {
-                Self::decrement(&mut self.hosts_by_port, (old_if, old_port), old_addr);
-                Self::decrement(&mut self.ports_by_host, (old_if, old_addr), old_port);
+            let old = self.buffer.pop_front().expect("a full buffer");
+            if self.triples.sub(old, 1) == 0 {
+                self.hosts_by_port.sub(port_key(old), 1);
+                self.ports_by_host.sub(host_key(old), 1);
             }
         }
-        self.buffer.push_back(entry);
-        *self
-            .hosts_by_port
-            .entry((ingress, flow.dst_port))
-            .or_default()
-            .entry(flow.dst_addr)
-            .or_insert(0) += 1;
-        *self
-            .ports_by_host
-            .entry((ingress, flow.dst_addr))
-            .or_default()
-            .entry(flow.dst_port)
-            .or_insert(0) += 1;
+        let triple = pack(flow.input_if, flow.dst_addr, flow.dst_port);
+        self.buffer.push_back(triple);
+        if self.triples.add(triple, 1) == 1 {
+            self.hosts_by_port.add(port_key(triple), 1);
+            self.ports_by_host.add(host_key(triple), 1);
+        }
 
-        let distinct_hosts = self
-            .hosts_by_port
-            .get(&(ingress, flow.dst_port))
-            .map(HashMap::len)
-            .unwrap_or(0);
+        let distinct_hosts = self.hosts_by_port.get(port_key(triple)) as usize;
         if distinct_hosts > self.cfg.network_scan_threshold {
             return ScanVerdict::NetworkScan {
                 dst_port: flow.dst_port,
                 distinct_hosts,
             };
         }
-        let distinct_ports = self
-            .ports_by_host
-            .get(&(ingress, flow.dst_addr))
-            .map(HashMap::len)
-            .unwrap_or(0);
+        let distinct_ports = self.ports_by_host.get(host_key(triple)) as usize;
         if distinct_ports > self.cfg.host_scan_threshold {
             return ScanVerdict::HostScan {
                 dst_addr: flow.dst_addr,
@@ -202,40 +197,17 @@ impl ScanAnalyzer {
         ScanVerdict::Pass
     }
 
-    fn decrement<K: std::hash::Hash + Eq, V: std::hash::Hash + Eq>(
-        map: &mut FxHashMap<K, FxHashMap<V, usize>>,
-        key: K,
-        value: V,
-    ) {
-        if let Some(inner) = map.get_mut(&key) {
-            if let Some(count) = inner.get_mut(&value) {
-                *count -= 1;
-                if *count == 0 {
-                    inner.remove(&value);
-                }
-            }
-            if inner.is_empty() {
-                map.remove(&key);
-            }
-        }
-    }
-
     /// Distinct destination hosts currently buffered for `port` at the
     /// given ingress.
     pub fn distinct_hosts_for_port(&self, ingress: u16, port: u16) -> usize {
         self.hosts_by_port
-            .get(&(ingress, port))
-            .map(HashMap::len)
-            .unwrap_or(0)
+            .get(port_key(pack(ingress, Ipv4Addr::UNSPECIFIED, port))) as usize
     }
 
     /// Distinct destination ports currently buffered for `host` at the
     /// given ingress.
     pub fn distinct_ports_for_host(&self, ingress: u16, host: Ipv4Addr) -> usize {
-        self.ports_by_host
-            .get(&(ingress, host))
-            .map(HashMap::len)
-            .unwrap_or(0)
+        self.ports_by_host.get(host_key(pack(ingress, host, 0))) as usize
     }
 }
 

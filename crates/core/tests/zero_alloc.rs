@@ -4,7 +4,10 @@
 //! allocations. Later sections extend the proof to the whole pipeline with
 //! telemetry on, the attack-shape sketches sampling every suspect, and the
 //! batch path — with span tracing off and on — on the engine shape
-//! `infilterd` deploys.
+//! `infilterd` deploys; the last ones to the traffic a spoofed flood is made
+//! of: probe-sized suspects that churn the scan tables and raise alerts,
+//! and, with adoption on, two million never-repeating sources through the
+//! sightings window.
 //!
 //! This file intentionally holds a single `#[test]` — a second test running
 //! concurrently in the same binary would allocate under the shared counter
@@ -104,8 +107,9 @@ fn suspect_path_encode_and_search_allocate_nothing_after_warmup() {
     // --- Whole pipeline, telemetry on: a repeated forgiven suspect through
     // the per-flow entry (EIA mismatch → scan → NNS → histograms, counter
     // family, flight-recorder push) allocates nothing in steady state.
-    // Adoption is disabled (threshold 0) so the sighting map is never
-    // touched; everything else reuses warmed-up capacity.
+    // Adoption is disabled (threshold 0) so the sightings window is never
+    // touched (the last sections turn it on); everything else reuses
+    // warmed-up capacity.
     let mut eia = infilter_core::EiaRegistry::new(0);
     eia.preload(
         infilter_core::PeerId(1),
@@ -305,5 +309,169 @@ fn suspect_path_encode_and_search_allocate_nothing_after_warmup() {
     assert!(
         tracer.last(4).iter().any(|t| t.spans().len() > 2),
         "traced batches must have captured engine spans"
+    );
+
+    // --- The traffic a spoofed flood is made of, adoption ON at the default
+    // threshold (5). `probe(i)` is a probe-sized suspect (one packet, so it
+    // enters the scan buffer) whose destination host and port rotate: every
+    // push creates a counter triple and, past the 200-flow buffer, frees
+    // one; one probe in eight joins a spray over 50 hosts of one port, so
+    // network scans keep being flagged and alerts keep being queued — as do
+    // the rest, which no subcluster vouches for. `fresh(i)` is an
+    // NNS-forgiven suspect from a source never seen before: every sighting
+    // inserts a candidate and, past the 65 536-candidate window, evicts one.
+    // (No source repeats, so none is adopted; an adoption itself may
+    // allocate in `FrozenLpm::insert` and is not part of this proof.)
+    let mut eia = infilter_core::EiaRegistry::new(0);
+    eia.preload(
+        infilter_core::PeerId(1),
+        "3.0.0.0/11".parse().expect("static prefix"),
+    );
+    let adopting = infilter_core::Trainer::new(
+        infilter_core::AnalyzerConfig::builder()
+            .mode(infilter_core::Mode::Enhanced)
+            .nns(NnsParams {
+                d: 0,
+                m1: 2,
+                m2: 8,
+                m3: 2,
+            })
+            .bits_per_feature(12)
+            .build()
+            .expect("valid config"),
+    )
+    .train_enhanced(eia, &flows)
+    .expect("training succeeds");
+    assert_eq!(adopting.config().adoption_threshold, 5);
+    let probe = |i: u32| FlowRecord {
+        src_addr: (0x0900_0000u32 + (i & 0xffff)).into(),
+        dst_addr: if i.is_multiple_of(8) {
+            (0x6002_0000u32 + (i / 8) % 50).into()
+        } else {
+            (0x6001_0000u32 + i % 64).into()
+        },
+        dst_port: if i.is_multiple_of(8) {
+            1434
+        } else {
+            1000 + (i % 37) as u16
+        },
+        protocol: 17,
+        input_if: 1,
+        packets: 1,
+        octets: 404,
+        ..FlowRecord::default()
+    };
+    let fresh = |i: u32| FlowRecord {
+        src_addr: (0x0a00_0000u32 + i).into(),
+        ..http_flow(i)
+    };
+    let mut alerts = 0u64;
+
+    // Per flow. Warm-up allocates the sightings window (first sighting)
+    // and grows the alert queue to what one drain interval needs.
+    let per_flow = |range: std::ops::Range<u32>, alerts: &mut u64| {
+        for i in range {
+            assert!(adopting
+                .process(infilter_core::PeerId(1), &probe(i))
+                .is_attack());
+            assert!(adopting
+                .process(infilter_core::PeerId(1), &fresh(i))
+                .is_forgiven());
+            if i % 64 == 63 {
+                adopting.drain_alerts_into(&mut |_| *alerts += 1);
+            }
+        }
+    };
+    per_flow(0..1_024, &mut alerts);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    per_flow(1_024..2_000_000, &mut alerts);
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "a 2 M-source flood allocated {} times after the first sighting",
+        after - before
+    );
+    assert_eq!(alerts, 2_000_000, "one alert per probe, all drained");
+    let page = adopting.prometheus_text();
+    assert!(
+        page.contains("\ninfilter_sightings_entries 65536\n")
+            && page.contains("\ninfilter_sightings_evicted_total 1934464\n")
+            && page.contains("\ninfilter_adoptions_total 0\n"),
+        "the window must be full and turning over:\n{page}"
+    );
+
+    // Batched, on the four-shard shape, tracing off and then on; every
+    // round drains the alerts it raised through the shard-queue merge.
+    let engine = infilter_core::ConcurrentAnalyzer::new(
+        adopting,
+        infilter_core::ConcurrentConfig {
+            shards: 4,
+            ..infilter_core::ConcurrentConfig::default()
+        },
+    );
+    let mut next = 2_000_000u32;
+    let mut flood_round = |verdicts: &mut Vec<infilter_core::Verdict>, alerts: &mut u64| {
+        mix.clear();
+        for _ in 0..10 {
+            mix.push_record(&probe(next));
+            mix.push_record(&fresh(next));
+            mix.push_record(&FlowRecord {
+                src_addr: (0x0300_0000u32 + next % 512).into(),
+                ..http_flow(next)
+            });
+            next += 1;
+        }
+        verdicts.clear();
+        engine.process_flow_batch_into(
+            infilter_core::PeerId(1),
+            &mix,
+            infilter_core::Effort::Full,
+            verdicts,
+        );
+        assert!(verdicts
+            .chunks(3)
+            .all(|v| { v[0].is_attack() && v[1].is_forgiven() && v[2].is_legal() }));
+        engine.drain_alerts_into(&mut |_| *alerts += 1);
+    };
+    alerts = 0;
+    for _ in 0..200u32 {
+        flood_round(&mut verdicts, &mut alerts);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..2_000u32 {
+        flood_round(&mut verdicts, &mut alerts);
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "batched flood allocated {} times over 2000 batches",
+        after - before
+    );
+    let mut traced_round = |verdicts: &mut Vec<infilter_core::Verdict>, alerts: &mut u64| {
+        let id = tracer.decide();
+        infilter_telemetry::trace::begin(id);
+        flood_round(verdicts, alerts);
+        infilter_telemetry::trace::finish(tracer.collector());
+    };
+    for _ in 0..20u32 {
+        traced_round(&mut verdicts, &mut alerts);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..2_000u32 {
+        traced_round(&mut verdicts, &mut alerts);
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "traced batched flood allocated {} times over 2000 batches",
+        after - before
+    );
+    assert_eq!(
+        alerts,
+        10 * 4_220,
+        "one alert per probe, merged and drained"
     );
 }

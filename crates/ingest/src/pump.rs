@@ -49,6 +49,9 @@ pub struct IngestPump<E: Engine> {
     ladder: Ladder,
     alerts: VecDeque<IdmefAlert>,
     alert_spool: usize,
+    /// Batches processed since a step last drained an alert. An alert
+    /// after a whole trace-sampling period without one is an onset.
+    quiet_batches: u64,
     batch_budget: usize,
     scratch: Vec<Batch>,
     /// Reused verdict buffer: one allocation serves every batch of every
@@ -73,6 +76,7 @@ impl<E: Engine> IngestPump<E> {
             ladder: Ladder::new(ladder),
             alerts: VecDeque::new(),
             alert_spool: alert_spool.max(1),
+            quiet_batches: u64::MAX,
             batch_budget: batch_budget.max(1),
             scratch: Vec::new(),
             verdicts: Vec::new(),
@@ -168,10 +172,23 @@ impl<E: Engine> IngestPump<E> {
             }
             processed += batch.records.len();
         }
+        let quiet = batches.len() as u64;
         self.scratch = batches;
         if processed > 0 {
             self.metrics().record_processed(effort, processed as u64);
-            self.spool_alerts();
+            if self.spool_alerts() == 0 {
+                self.quiet_batches = self.quiet_batches.saturating_add(quiet);
+            } else {
+                // Alert-bearing traffic is the interesting traffic, so the
+                // datagram after an onset is traced whatever the sampling
+                // phase. Only after an onset: forcing on every alerting
+                // step would, under a sustained attack, fill the trace
+                // ring many times faster than `trace_sample_every` says.
+                if self.quiet_batches >= self.intake.tracer().sample_every() {
+                    self.intake.tracer().force_next();
+                }
+                self.quiet_batches = 0;
+            }
             // Adoptions are rare next to flows, so this drain is almost
             // always empty and costs one virtual call — and the write
             // happens here, after the batch, never inside the hot path.
@@ -333,21 +350,23 @@ impl<E: Engine> IngestPump<E> {
         }
     }
 
-    fn spool_alerts(&mut self) {
-        let mut drained = false;
-        for alert in self.engine.drain_alerts() {
-            drained = true;
-            if self.alerts.len() >= self.alert_spool {
-                self.alerts.pop_front();
-                self.metrics().record_alerts_dropped(1);
+    /// Moves the engine's pending alerts into the spool, dropping the
+    /// oldest past its bound; returns how many arrived.
+    fn spool_alerts(&mut self) -> u64 {
+        let (spool, bound) = (&mut self.alerts, self.alert_spool);
+        let (mut drained, mut dropped) = (0, 0);
+        self.engine.drain_alerts_into(&mut |alert| {
+            drained += 1;
+            if spool.len() >= bound {
+                spool.pop_front();
+                dropped += 1;
             }
-            self.alerts.push_back(alert);
+            spool.push_back(alert);
+        });
+        if dropped > 0 {
+            self.metrics().record_alerts_dropped(dropped);
         }
-        if drained {
-            // Alert-bearing traffic is the interesting traffic: make sure
-            // the next datagram is traced regardless of the sampling phase.
-            self.intake.tracer().force_next();
-        }
+        drained
     }
 
     /// Takes up to `max` spooled alerts, oldest first (0 = all).

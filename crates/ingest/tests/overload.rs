@@ -182,3 +182,73 @@ fn alert_spool_drops_oldest_with_accounting() {
     assert_eq!(drained.len(), 2);
     assert_eq!(pump.spooled(), 0);
 }
+
+/// Forced traces follow alert *onsets*, not alert-bearing steps: under a
+/// sustained attack every step drains alerts, and forcing on each of them
+/// filled the trace ring at the step rate whatever `trace_sample_every`
+/// said. An onset is an alert after at least one sampling period of
+/// alert-free datagrams.
+#[test]
+fn sustained_alerts_force_one_trace_per_onset() {
+    use infilter_telemetry::{Journal, Tracer};
+
+    const SAMPLE_EVERY: u32 = 8;
+    // Basic mode: every spoofed flow is an alert.
+    let engine = bootstrap_engine(&daemon_config(Mode::Basic), &BootstrapConfig::default())
+        .expect("bootstrap");
+    let tracer = Arc::new(Tracer::new(u64::from(SAMPLE_EVERY), 64));
+    let intake = Arc::new(Intake::with_observers(
+        1,
+        100,
+        Arc::new(IngestMetrics::default()),
+        tracer.clone(),
+        Arc::new(Journal::new(16)),
+    ));
+    let mut pump = IngestPump::new(engine, intake.clone(), LadderConfig::default(), 10, 4096);
+    // The listener's role: one sampling decision per datagram, then enqueue.
+    let offer = |batch: Batch| {
+        tracer.decide();
+        intake.push_batch(batch);
+    };
+
+    // A sustained attack, 300 alert-bearing steps, legal datagrams mixed
+    // in: one onset.
+    for i in 0..300 {
+        offer(spoofed_batch(i));
+        if i % 3 == 0 {
+            offer(legal_batch(i));
+        }
+        assert!(pump.step() > 0);
+    }
+    assert_eq!(tracer.forced(), 1, "a sustained attack is one onset");
+    // Alert-free steps in between, shorter than a sampling period, are
+    // still the same incident.
+    for i in 0..50 {
+        offer(spoofed_batch(i));
+        pump.step();
+        for j in 0..SAMPLE_EVERY - 1 {
+            offer(legal_batch(j));
+            pump.step();
+        }
+    }
+    assert_eq!(
+        tracer.forced(),
+        1,
+        "a lull shorter than a period is no onset"
+    );
+    // A whole sampling period without an alert ends it; the next alert
+    // is a new onset.
+    for i in 0..SAMPLE_EVERY {
+        offer(legal_batch(i));
+        pump.step();
+    }
+    for i in 0..100 {
+        offer(spoofed_batch(i));
+        pump.step();
+    }
+    assert_eq!(tracer.forced(), 2, "one forced trace per onset");
+    assert_eq!(
+        metric_value(&pump.prometheus_text(), "infilterd_traces_forced_total"),
+        Some(2.0)
+    );
+}

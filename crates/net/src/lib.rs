@@ -14,6 +14,8 @@
 //!   root table + stride-8 nodes) for read-mostly hot paths: ≤ 3 memory
 //!   touches per lookup instead of ≤ 32 node hops, patchable one prefix at
 //!   a time without recompiling.
+//! * [`FlatTable`] — a fixed-capacity `u64 → u32` counter table for state
+//!   keyed by attacker-chosen flow fields: never grows, never rehashes.
 //! * [`blocks`] — the Table 1 block scheme and the `1a..125h` notation.
 //! * [`Asn`] / [`RouterId`] — newtypes so autonomous-system numbers and
 //!   router identities cannot be confused with ordinary integers.
@@ -40,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod blocks;
+mod flat;
 mod hash;
 mod ids;
 mod lpm;
@@ -47,6 +50,7 @@ mod prefix;
 mod trie;
 
 pub use blocks::{SubBlock, SubBlockRange};
+pub use flat::FlatTable;
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use ids::{Asn, RouterId};
 pub use lpm::FrozenLpm;

@@ -22,8 +22,9 @@
 //!
 //! All three are single-writer (`&mut self` on the record path) like
 //! [`crate::Histogram`]; wrap in a lock for shared use. No allocation
-//! happens after construction — [`SpaceSaving`] pre-reserves its index so
-//! evictions never rehash, and [`SpaceSaving::top_into`] writes into a
+//! happens after construction — [`SpaceSaving`] finds its keys by scanning
+//! its (few) entries rather than through a map that would rehash under
+//! eviction churn, and [`SpaceSaving::top_into`] writes into a
 //! caller-provided slice — so a sampled hot path can update them inside a
 //! zero-allocation budget.
 
@@ -152,10 +153,11 @@ pub struct TopEntry {
 #[derive(Debug)]
 pub struct SpaceSaving {
     capacity: usize,
+    /// Found by scan: capacities are tens of entries, a new key scans
+    /// them all for the minimum anyway, and a hash index over
+    /// attacker-chosen keys re-allocates to shed tombstones every so many
+    /// evictions however generously it was reserved.
     entries: Vec<TopEntry>,
-    /// key → index into `entries`. Pre-reserved for `capacity + 1` keys so
-    /// the steady-state remove+insert at eviction never reallocates.
-    index: std::collections::HashMap<u64, usize>,
     total: u64,
 }
 
@@ -166,7 +168,6 @@ impl SpaceSaving {
         SpaceSaving {
             capacity,
             entries: Vec::with_capacity(capacity),
-            index: std::collections::HashMap::with_capacity(capacity + 1),
             total: 0,
         }
     }
@@ -174,12 +175,11 @@ impl SpaceSaving {
     /// Adds `count` occurrences of `key`.
     pub fn record(&mut self, key: u64, count: u64) {
         self.total += count;
-        if let Some(&i) = self.index.get(&key) {
-            self.entries[i].count += count;
+        if let Some(entry) = self.entry_mut(key) {
+            entry.count += count;
             return;
         }
         if self.entries.len() < self.capacity {
-            self.index.insert(key, self.entries.len());
             self.entries.push(TopEntry { key, count, err: 0 });
             return;
         }
@@ -193,13 +193,15 @@ impl SpaceSaving {
             }
         }
         let evicted = self.entries[min_i];
-        self.index.remove(&evicted.key);
-        self.index.insert(key, min_i);
         self.entries[min_i] = TopEntry {
             key,
             count: evicted.count + count,
             err: evicted.count,
         };
+    }
+
+    fn entry_mut(&mut self, key: u64) -> Option<&mut TopEntry> {
+        self.entries.iter_mut().find(|e| e.key == key)
     }
 
     /// Total updates recorded — the `N` in the `N/capacity` bound.
@@ -283,16 +285,16 @@ impl SpaceSaving {
     pub fn merge(&mut self, other: &SpaceSaving) {
         for e in &other.entries {
             self.total += e.count;
-            if let Some(&i) = self.index.get(&e.key) {
-                self.entries[i].count += e.count;
-                self.entries[i].err += e.err;
+            if let Some(entry) = self.entry_mut(e.key) {
+                entry.count += e.count;
+                entry.err += e.err;
             } else {
                 // Route through record's eviction logic, then restore the
                 // entry's carried error on top of whatever it inherited.
                 self.total -= e.count; // record() re-adds it
                 self.record(e.key, e.count);
-                if let Some(&i) = self.index.get(&e.key) {
-                    self.entries[i].err += e.err;
+                if let Some(entry) = self.entry_mut(e.key) {
+                    entry.err += e.err;
                 }
             }
         }
@@ -301,7 +303,6 @@ impl SpaceSaving {
     /// Clears all monitored keys without releasing memory.
     pub fn reset(&mut self) {
         self.entries.clear();
-        self.index.clear();
         self.total = 0;
     }
 }
