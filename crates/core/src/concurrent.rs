@@ -8,19 +8,24 @@
 //! of throughput. [`ConcurrentAnalyzer`] is built around what the workload
 //! actually is — read-mostly:
 //!
-//! * **EIA check (every flow)** runs against an immutable [`EiaSnapshot`]
-//!   published through a [`SnapshotCell`] and cached per thread, so the
-//!   hot path costs one relaxed atomic load and a
-//!   [`FrozenLpm`](infilter_net::FrozenLpm) lookup (≤ 3 memory touches) —
-//!   no lock, no shared cache-line write.
+//! * **EIA check (every flow)** runs against the one [`EiaSnapshot`] the
+//!   engine keeps, published through a [`SnapshotCell`]: a shared-lock
+//!   acquire and a [`FrozenLpm`](infilter_net::FrozenLpm) lookup (≤ 3
+//!   memory touches), inside [`SnapshotCell::with`], so no handle to the
+//!   table outlives the lookup.
 //! * **Suspect analysis (rare)** is sharded by `(input_if, dst_addr)`:
 //!   each shard owns its own [`ScanAnalyzer`] buffer and alert queue
 //!   behind its own mutex, so suspects from unrelated destinations never
 //!   contend. NNS search is read-only and runs outside any lock.
-//! * **Adoptions (rarest)** go through a single write-side [`EiaRegistry`]
-//!   and are patched into the published snapshot at once
-//!   ([`SnapshotCell::update`]): in place when no reader holds it,
-//!   copy-on-write when one does.
+//! * **Adoptions (rarest)** are counted in a single write-side
+//!   [`AdoptionLedger`] — policy, sightings window, undrained events; no
+//!   second table — and patched into the published snapshot at once
+//!   ([`SnapshotCell::update`]): in place unless a caller of
+//!   [`ConcurrentAnalyzer::eia_snapshot`] still holds the table, then
+//!   copy-on-write.
+//! * **Lock order**: the write-side mutex, then the cell's write lock.
+//!   Readers take the cell's shared lock alone, for the length of one
+//!   `with`, and let go of it before the suspect path.
 //! * **Metrics** are relaxed [`AtomicU64`] counters with *sampled* latency
 //!   so `Instant::now()` stays off the per-flow path.
 
@@ -36,14 +41,14 @@ use infilter_nns::BitVec;
 use infilter_telemetry::trace;
 use parking_lot::Mutex;
 
-use crate::eia::EiaSnapshot;
+use crate::eia::{AdoptionLedger, EiaSnapshot};
 use crate::metrics::ConcurrentMetrics;
 use crate::observe::{JournalEvent, PipelineTelemetry, SuspectObservation};
 use crate::pipeline::{
     nns_stage, saturating_nanos, scan_stage, scan_verdict_stage, NnsMemo, SuspectOutcome,
     SuspectRecord,
 };
-use crate::snapshot::{CachedSnapshot, SnapshotCell};
+use crate::snapshot::SnapshotCell;
 use crate::{
     Analyzer, AnalyzerMetrics, AttackStage, ClusterModel, Effort, EiaRegistry, EiaVerdict,
     FlowDecision, IdmefAlert, Mode, PeerId, ScanAnalyzer, Verdict,
@@ -95,23 +100,7 @@ fn new_shards(shards: usize, scan: crate::ScanConfig) -> Vec<Mutex<Shard>> {
         .collect()
 }
 
-/// What the engine does to every registry it is handed, at boot and at
-/// reload alike: the adoption policy follows the analyzer config, and the
-/// write-side trie gives back the slack its bulk build left.
-fn take_over(cfg: &crate::AnalyzerConfig, registry: &mut EiaRegistry) {
-    registry.set_adoption_threshold(cfg.adoption_threshold);
-    registry.set_adoption_prefix_len(cfg.adoption_prefix_len);
-    registry.shrink_to_fit();
-}
-
-/// Thread-local snapshot caches, keyed by [`SnapshotCell::id`] so caches
-/// never leak across analyzers. Capped: a thread touching many analyzers
-/// evicts oldest-first rather than growing without bound.
-const MAX_CACHED_CELLS: usize = 32;
-
 thread_local! {
-    static EIA_CACHE: RefCell<Vec<(u64, Option<CachedSnapshot<EiaSnapshot>>)>> =
-        const { RefCell::new(Vec::new()) };
     /// Per-thread NNS query buffer: suspect-flow encode + search reuses one
     /// allocation per collector thread instead of allocating per flow. Safe
     /// to share across analyzers — `encode_into` resets length and contents
@@ -129,8 +118,12 @@ thread_local! {
         RefCell::new((None, NnsMemo::default()));
 }
 
-/// The concurrent InFilter engine: `process` takes `&self` and scales with
-/// threads, because the per-flow EIA check touches no shared mutable state.
+/// The concurrent InFilter engine: `process` takes `&self`, and threads
+/// contend only where they must — on a suspect's shard, on the write side
+/// for a sighting, and on the one word of the snapshot cell's lock that
+/// every EIA check acquires shared. That word is why two threads measure
+/// 4–5× one thread's per-flow cost on legal traffic (EXPERIMENTS.md, "One
+/// EIA table"); batches pay it once per batch.
 ///
 /// Construct one from a trained [`Analyzer`] via
 /// [`ConcurrentAnalyzer::new`] and share it by reference (or `Arc`) across
@@ -170,10 +163,11 @@ thread_local! {
 pub struct ConcurrentAnalyzer {
     cfg: crate::AnalyzerConfig,
     ccfg: ConcurrentConfig,
-    /// Published read side of the EIA sets.
+    /// The EIA table: the engine's only copy.
     eia: SnapshotCell<EiaSnapshot>,
-    /// Authoritative write side (sightings, adoptions).
-    write_side: Mutex<EiaRegistry>,
+    /// Adoption policy, pending sightings and undrained events. Every
+    /// change to `eia` happens under this lock.
+    write_side: Mutex<AdoptionLedger>,
     shards: Vec<Mutex<Shard>>,
     /// One spare alert queue per shard: a drain swaps them with the
     /// shards' own and merges from here, so neither side re-grows.
@@ -185,8 +179,8 @@ pub struct ConcurrentAnalyzer {
 }
 
 impl ConcurrentAnalyzer {
-    /// Re-shards a trained [`Analyzer`]: the EIA tables (write side and
-    /// published snapshot), the model, the configuration and the alert id
+    /// Re-shards a trained [`Analyzer`]: the EIA table and its adoption
+    /// ledger, the model, the configuration and the alert id
     /// sequence carry over; scan state, counters, telemetry and pending
     /// alerts start fresh — drain the alerts first if they matter.
     ///
@@ -208,14 +202,14 @@ impl ConcurrentAnalyzer {
     /// Builds an engine from the training phase's outputs.
     pub(crate) fn assemble(
         cfg: crate::AnalyzerConfig,
-        mut registry: EiaRegistry,
+        registry: EiaRegistry,
         model: Option<ClusterModel>,
         ccfg: ConcurrentConfig,
     ) -> ConcurrentAnalyzer {
-        take_over(&cfg, &mut registry);
+        let (snapshot, ledger) = registry.hand_over(&cfg);
         ConcurrentAnalyzer {
-            eia: SnapshotCell::new(registry.snapshot()),
-            write_side: Mutex::new(registry),
+            eia: SnapshotCell::new(snapshot),
+            write_side: Mutex::new(ledger),
             shards: new_shards(ccfg.shards, cfg.scan),
             drained: Mutex::new(vec![VecDeque::new(); ccfg.shards]),
             model: model.map(Arc::new),
@@ -238,7 +232,8 @@ impl ConcurrentAnalyzer {
         self.metrics.snapshot()
     }
 
-    /// The currently published EIA snapshot.
+    /// The currently published EIA snapshot. An adoption while the handle
+    /// is held copies the table instead of patching it: drop it promptly.
     pub fn eia_snapshot(&self) -> Arc<EiaSnapshot> {
         self.eia.load()
     }
@@ -265,13 +260,15 @@ impl ConcurrentAnalyzer {
                 (shard.scan.buffered(), shard.scan.counter_entries())
             })
             .collect();
-        let snap = self.eia.load();
+        let table = self
+            .eia
+            .with(|snapshot| (snapshot.prefix_count(), snapshot.approx_bytes()));
         let sightings = self.write_side.lock().sightings_window();
         crate::observe::render_exposition(
             &self.metrics.snapshot(),
             &self.telemetry,
             &occupancy,
-            (snap.prefix_count(), snap.approx_bytes()),
+            table,
             sightings,
         )
     }
@@ -310,12 +307,13 @@ impl ConcurrentAnalyzer {
     ) -> Verdict {
         let started = self.latency_sampled(n).then(Instant::now);
 
-        // Stage 1: lock-free EIA check against the cached snapshot. A
-        // statement of its own, so the snapshot handle is released before
-        // the suspect path may want to patch the table in place. The
-        // version is read first: the snapshot is then at least that new.
+        // Stage 1: EIA check under the cell's shared lock, let go of before
+        // the suspect path may want the write lock. The version is read
+        // first: the snapshot is then at least that new.
         let version = self.eia.version();
-        let eia_verdict = self.cached_snapshot().classify(ingress, flow.src_addr);
+        let eia_verdict = self
+            .eia
+            .with(|snapshot| snapshot.classify(ingress, flow.src_addr));
         match eia_verdict {
             EiaVerdict::Match => {
                 ConcurrentMetrics::bump(&self.metrics.eia_match);
@@ -432,7 +430,7 @@ impl ConcurrentAnalyzer {
     /// from one ingress, appending one verdict per flow to `out` (same
     /// order).
     ///
-    /// Phase A classifies the source column against one cached snapshot's
+    /// Phase A classifies the source column against one snapshot's
     /// frozen LPM — no sort permutation needed, since a frozen lookup
     /// costs the same constant number of memory touches for any input
     /// order. Phase B applies bookkeeping in original flow order; EIA
@@ -465,14 +463,13 @@ impl ConcurrentAnalyzer {
         // as a whole only when some flow in this window samples latency;
         // each sampled match then records its per-flow share.
         let snap_version = self.eia.version();
-        let snapshot = self.cached_snapshot();
         let sampling = sample != 0 && n0.next_multiple_of(sample) < n0 + len as u64;
         let a_started = sampling.then(Instant::now);
         trace::start("eia");
-        snapshot.classify_batch_into(ingress, src, &mut eia);
+        self.eia
+            .with(|snapshot| snapshot.classify_batch_into(ingress, src, &mut eia));
         trace::end();
         let per_flow = a_started.map(|s| s.elapsed() / len as u32);
-        drop(snapshot);
 
         // Phase B: bookkeeping and suspect analysis in original order.
         // EIA-match bumps are batched into one fetch_add; stale-fallback
@@ -620,48 +617,29 @@ impl ConcurrentAnalyzer {
         ((hashed >> 32) as usize) % self.shards.len()
     }
 
-    /// The current EIA snapshot via the thread-local cache: one atomic
-    /// version load per flow in steady state.
-    fn cached_snapshot(&self) -> Arc<EiaSnapshot> {
-        EIA_CACHE.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            let id = self.eia.id();
-            if let Some((_, slot)) = cache.iter_mut().find(|(cell, _)| *cell == id) {
-                return self.eia.load_cached(slot);
-            }
-            if cache.len() >= MAX_CACHED_CELLS {
-                cache.remove(0);
-            }
-            let mut slot = None;
-            let snapshot = self.eia.load_cached(&mut slot);
-            cache.push((id, slot));
-            snapshot
-        })
-    }
-
     /// Write-side sighting of a source that was a mismatch at snapshot
     /// `version`; an adoption is published before the lock is released, so
     /// the adopted source takes the fast path on its very next flow.
     /// Returns whether this sighting adopted the source.
     fn record_sighting(&self, ingress: PeerId, addr: Ipv4Addr, version: u64) -> bool {
-        // Adoption disabled: the registry would refuse the sighting anyway
-        // (see `EiaRegistry::record_sighting`), so don't serialise every
-        // NNS-cleared suspect on the write-side mutex to learn that.
+        // Adoption disabled: the ledger would refuse the sighting anyway,
+        // so don't serialise every NNS-cleared suspect on the write-side
+        // mutex to learn that.
         if self.cfg.adoption_threshold == 0 {
             return false;
         }
-        let mut registry = self.write_side.lock();
+        let mut ledger = self.write_side.lock();
         // No double adoption. Every publish happens under this lock, so an
         // unchanged version means the mismatch still holds; after a publish
-        // the published table (it mirrors the registry) is asked again —
-        // never the write-side trie, bit by bit. The handle is dropped
-        // before any patching.
-        let rehomed =
-            self.eia.version() != version && self.eia.load().classify(ingress, addr).is_match();
+        // the table is asked again.
+        let rehomed = self.eia.version() != version
+            && self
+                .eia
+                .with(|snapshot| snapshot.classify(ingress, addr).is_match());
         if rehomed {
             return false;
         }
-        match registry.sight(ingress, addr) {
+        match ledger.sight(ingress, addr) {
             Some(adopted) => {
                 self.publish_adoption(adopted, ingress);
                 true
@@ -676,36 +654,32 @@ impl ConcurrentAnalyzer {
     #[cold]
     #[inline(never)]
     fn publish_adoption(&self, adopted: infilter_net::Prefix, ingress: PeerId) {
-        // Let go of this thread's cached handle first: with no other
-        // reader about (the daemon's single worker) the table is then
-        // patched in place instead of copied.
-        EIA_CACHE.with(|cache| {
-            cache
-                .borrow_mut()
-                .retain(|(cell, _)| *cell != self.eia.id())
-        });
         self.eia.update(|snapshot| snapshot.adopt(adopted, ingress));
         self.telemetry.record_republish();
     }
 
-    /// Drains buffered adoption events off the write-side registry; see
+    /// Drains buffered adoption events off the write-side ledger; see
     /// [`crate::Engine::adoption_events`]. Briefly takes the write-side
     /// lock, so callers should drain in batches, not per flow.
     pub fn adoption_events(&self, sink: &mut Vec<crate::AdoptionEvent>) {
         self.write_side.lock().drain_events(sink);
     }
 
-    /// Replaces the write-side EIA registry wholesale and republishes its
-    /// snapshot — the hot-reload path. Dynamic adoptions accumulated in
-    /// the old registry are discarded (the reloaded config is the source
-    /// of truth). Returns the preloaded prefix count now live.
-    pub fn reload_eia(&self, mut eia: EiaRegistry) -> usize {
-        take_over(&self.cfg, &mut eia);
-        let mut registry = self.write_side.lock();
-        *registry = eia;
-        self.eia.publish(registry.snapshot());
+    /// Replaces the EIA table and its adoption ledger wholesale — the
+    /// hot-reload path. Dynamic adoptions, pending sightings and undrained
+    /// events of the old table are discarded (the reloaded config is the
+    /// source of truth). Returns the preloaded prefix count now live.
+    pub fn reload_eia(&self, eia: EiaRegistry) -> usize {
+        let (snapshot, ledger) = eia.hand_over(&self.cfg);
+        let prefixes = snapshot.prefix_count();
+        {
+            // Both halves under the one lock: no sighting can land in the
+            // new ledger and patch the old table, or the other way round.
+            let mut write_side = self.write_side.lock();
+            *write_side = ledger;
+            self.eia.publish(snapshot);
+        }
         self.telemetry.record_republish();
-        let prefixes = registry.prefix_count();
         self.telemetry.journal_event(JournalEvent::EiaReload {
             prefixes: prefixes.min(u32::MAX as usize) as u32,
         });
@@ -776,19 +750,7 @@ mod tests {
         let mut eia = EiaRegistry::new(3);
         eia.preload(PeerId(1), "3.0.0.0/11".parse().expect("static prefix"));
         eia.preload(PeerId(2), "3.32.0.0/11".parse().expect("static prefix"));
-        let normal: Vec<FlowRecord> = (0..80)
-            .map(|i| FlowRecord {
-                src_addr: "3.0.0.1".parse().unwrap(),
-                dst_addr: "96.1.0.20".parse().unwrap(),
-                dst_port: 80,
-                protocol: 6,
-                packets: 10 + (i % 6),
-                octets: 5000 + 200 * (i % 10),
-                first_ms: 0,
-                last_ms: 800 + 40 * (i % 7),
-                ..FlowRecord::default()
-            })
-            .collect();
+        let normal: Vec<FlowRecord> = (0..80).map(normal_flow).collect();
         Trainer::new(AnalyzerConfig {
             mode: Mode::Enhanced,
             nns: infilter_nns::NnsParams {
@@ -802,6 +764,21 @@ mod tests {
         })
         .train_enhanced(eia, &normal)
         .expect("training succeeds")
+    }
+
+    /// The `i`-th flow [`ei_analyzer`] trains on.
+    fn normal_flow(i: u32) -> FlowRecord {
+        FlowRecord {
+            src_addr: "3.0.0.1".parse().unwrap(),
+            dst_addr: "96.1.0.20".parse().unwrap(),
+            dst_port: 80,
+            protocol: 6,
+            packets: 10 + (i % 6),
+            octets: 5000 + 200 * (i % 10),
+            first_ms: 0,
+            last_ms: 800 + 40 * (i % 7),
+            ..FlowRecord::default()
+        }
     }
 
     #[test]
@@ -885,7 +862,7 @@ mod tests {
     fn published_adoption_reaches_other_threads() {
         // EI with shards=1 and immediate publication: three forgiven flows
         // adopt the source; a different thread then sees it on the fast
-        // path through its own cached snapshot.
+        // path.
         let mut eia = EiaRegistry::new(3);
         eia.preload(PeerId(1), "3.0.0.0/11".parse().unwrap());
         eia.preload(PeerId(2), "3.32.0.0/11".parse().unwrap());
@@ -939,7 +916,7 @@ mod tests {
             assert!(engine.process(PeerId(1), &roaming(i)).is_forgiven());
         }
         assert_eq!(engine.metrics().adoptions, 1);
-        // A fresh thread (fresh snapshot cache) sees the adoption.
+        // Another thread sees the adoption.
         std::thread::scope(|s| {
             let engine = &engine;
             s.spawn(move || {
@@ -963,26 +940,44 @@ mod tests {
         assert!(!engine.process(PeerId(1), &spoofed).is_attack());
     }
 
-    /// `/reload` must not keep the parsed registry's trie slack alive.
+    /// A reload hands the engine a new table *and* a new ledger: what the
+    /// old one had counted is gone, and the policy stays the analyzer
+    /// config's, whatever the incoming registry was built with.
     #[test]
-    fn reload_eia_shrinks_the_incoming_registry() {
-        let engine = ConcurrentAnalyzer::new(bi_analyzer(), ConcurrentConfig::default());
-        let mut fresh = EiaRegistry::new(3);
-        for i in 0..500u32 {
-            let prefix = infilter_net::Prefix::new((0x0900_0000 + (i << 8)).into(), 24);
-            fresh.preload(PeerId(1), prefix);
+    fn reload_eia_starts_a_fresh_ledger() {
+        let engine = ConcurrentAnalyzer::new(ei_analyzer(), ConcurrentConfig::default());
+        let threshold = engine.config().adoption_threshold;
+        assert!(threshold > 2 && engine.config().adoption_prefix_len == 32);
+        // Peer 2's space, seen at peer 1, shaped like a training flow.
+        let roaming = FlowRecord {
+            src_addr: "3.33.0.77".parse().unwrap(),
+            ..normal_flow(0)
+        };
+        for _ in 1..threshold {
+            assert!(engine.process(PeerId(1), &roaming).is_forgiven());
         }
-        let mut shrunk = fresh.clone();
-        shrunk.shrink_to_fit();
-        assert!(
-            shrunk.approx_bytes() < fresh.approx_bytes(),
-            "the fixture must carry slack for the test to mean anything"
-        );
-        assert_eq!(engine.reload_eia(fresh), 500);
-        assert_eq!(
-            engine.write_side.lock().approx_bytes(),
-            shrunk.approx_bytes()
-        );
+        assert_eq!(engine.write_side.lock().sightings_window(), (1, 0));
+
+        let mut fresh = EiaRegistry::new(1);
+        fresh.set_adoption_prefix_len(24);
+        fresh.preload(PeerId(1), "3.0.0.0/11".parse().expect("static prefix"));
+        fresh.preload(PeerId(2), "3.32.0.0/11".parse().expect("static prefix"));
+        assert_eq!(engine.reload_eia(fresh), 2);
+        assert_eq!(engine.write_side.lock().sightings_window(), (0, 0));
+
+        // One short of the config's threshold again: the old count would
+        // have adopted on the first of these, the registry's threshold of
+        // one as well.
+        for _ in 1..threshold {
+            assert!(engine.process(PeerId(1), &roaming).is_forgiven());
+        }
+        assert_eq!(engine.metrics().adoptions, 0);
+        assert!(engine.process(PeerId(1), &roaming).is_forgiven());
+        assert_eq!(engine.metrics().adoptions, 1);
+        let mut events = Vec::new();
+        engine.adoption_events(&mut events);
+        let adopted: Vec<_> = events.iter().map(|e| e.prefix).collect();
+        assert_eq!(adopted, ["3.33.0.77/32".parse().expect("static prefix")]);
     }
 
     #[test]

@@ -75,15 +75,12 @@ impl EiaVerdict {
 /// classification costs at most three memory touches instead of up to 32
 /// binary-trie node hops.
 ///
-/// This is the read side of the concurrency split: snapshots are published
-/// behind an [`crate::SnapshotCell`] by the [`crate::ConcurrentAnalyzer`]
-/// and classified against without any lock. Sightings and adoptions go through
-/// the authoritative [`EiaRegistry`] on the (rarely taken) write side. It
-/// compiles the snapshot once ([`EiaRegistry::snapshot`]: boot, reload);
-/// each adoption after that is patched into the published snapshot, which
-/// costs one /16 subtree instead of the whole table. Two snapshots are
-/// equal when they hold the same table and adoption count, however each
-/// was produced.
+/// A running [`crate::ConcurrentAnalyzer`] keeps its EIA table in this
+/// form only: one snapshot published behind a [`crate::SnapshotCell`],
+/// compiled once from the registry it was handed (boot, reload) and
+/// patched per adoption after that, which costs one /16 subtree instead of
+/// the whole table. Two snapshots are equal when they hold the same table
+/// and adoption count, however each was produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EiaSnapshot {
     lpm: FrozenLpm<PeerId>,
@@ -227,6 +224,81 @@ impl Sightings {
     }
 }
 
+/// The half of §5.2(a)'s dynamic adoption that is not the table: the
+/// policy (how many sightings, adopted at what prefix length), the pending
+/// counts, and the adoptions not yet drained to a store. [`EiaRegistry`]
+/// keeps one beside its trie; a running engine keeps one beside the
+/// snapshot it published (see [`EiaRegistry::hand_over`]).
+#[derive(Debug, Clone)]
+pub(crate) struct AdoptionLedger {
+    threshold: u32,
+    prefix_len: u8,
+    /// Allocated at the first sighting: most ledgers never see one.
+    sightings: Option<Sightings>,
+    /// Adoption events since the last [`AdoptionLedger::drain_events`],
+    /// bounded by [`EVENT_BUFFER_CAP`] (overflow is counted, not stored).
+    events: Vec<AdoptionEvent>,
+    events_dropped: u64,
+}
+
+impl AdoptionLedger {
+    fn new(threshold: u32) -> AdoptionLedger {
+        AdoptionLedger {
+            threshold,
+            prefix_len: 32,
+            sightings: None,
+            events: Vec::new(),
+            events_dropped: 0,
+        }
+    }
+
+    fn set_prefix_len(&mut self, len: u8) {
+        assert!(len <= 32, "adoption prefix length {len} out of range");
+        self.prefix_len = len;
+    }
+
+    /// Counts one sighting of `addr`, still a mismatch at `observed`.
+    /// Returns the range to adopt into `observed`'s EIA set when this
+    /// sighting crossed the threshold; the event is already buffered, the
+    /// table is the caller's to change.
+    pub(crate) fn sight(&mut self, observed: PeerId, addr: Ipv4Addr) -> Option<Prefix> {
+        if self.threshold == 0 {
+            return None;
+        }
+        let range = Prefix::host(addr).truncate(self.prefix_len);
+        let key = (u64::from(observed.0) << 40)
+            | (u64::from(range.len()) << 32)
+            | u64::from(range.bits());
+        let window = self
+            .sightings
+            .get_or_insert_with(|| Sightings::new(SIGHTINGS_CAPACITY));
+        if !window.sight(key, self.threshold) {
+            return None;
+        }
+        if self.events.len() >= EVENT_BUFFER_CAP {
+            self.events_dropped += 1;
+        } else {
+            self.events.push(AdoptionEvent {
+                peer: observed,
+                prefix: range,
+                action: AdoptionAction::Adopted,
+            });
+        }
+        Some(range)
+    }
+
+    /// See [`EiaRegistry::sightings_window`].
+    pub(crate) fn sightings_window(&self) -> (usize, u64) {
+        let window = self.sightings.as_ref();
+        window.map_or((0, 0), |w| (w.index.len(), w.evicted))
+    }
+
+    /// See [`EiaRegistry::drain_events`].
+    pub(crate) fn drain_events(&mut self, sink: &mut Vec<AdoptionEvent>) {
+        sink.append(&mut self.events);
+    }
+}
+
 /// The per-peer Expected IP Address sets, backed by one shared
 /// longest-prefix-match trie (most-specific prefix decides ownership, the
 /// paper's `4.2.101.0/24` vs `4.0.0.0/8` rule).
@@ -238,18 +310,16 @@ impl Sightings {
 /// that attackers erode under the stress test (§6.3.2). One deviation from
 /// the paper: pending counts live in a fixed window, so a candidate is
 /// forgotten once 65 536 newer ones have been sighted.
+///
+/// This is the builder and the reference: config parsing, store recovery
+/// and the experiments fill one, and the tests' oracles classify against
+/// it. An engine does not keep it — it compiles the table once
+/// ([`EiaRegistry::snapshot`]) and drops the trie.
 #[derive(Debug, Clone)]
 pub struct EiaRegistry {
     trie: PrefixTrie<PeerId>,
-    adoption_threshold: u32,
-    adoption_prefix_len: u8,
-    /// Allocated at the first sighting: most registries never see one.
-    sightings: Option<Sightings>,
     adopted: u64,
-    /// Adoption events since the last [`EiaRegistry::drain_events`],
-    /// bounded by [`EVENT_BUFFER_CAP`] (overflow is counted, not stored).
-    events: Vec<AdoptionEvent>,
-    events_dropped: u64,
+    ledger: AdoptionLedger,
 }
 
 impl EiaRegistry {
@@ -259,12 +329,8 @@ impl EiaRegistry {
     pub fn new(adoption_threshold: u32) -> EiaRegistry {
         EiaRegistry {
             trie: PrefixTrie::new(),
-            adoption_threshold,
-            adoption_prefix_len: 32,
-            sightings: None,
             adopted: 0,
-            events: Vec::new(),
-            events_dropped: 0,
+            ledger: AdoptionLedger::new(adoption_threshold),
         }
     }
 
@@ -277,7 +343,7 @@ impl EiaRegistry {
     /// Changes the adoption threshold (0 disables adoption). Pending
     /// sighting counts are preserved; they are as wide as the threshold.
     pub fn set_adoption_threshold(&mut self, threshold: u32) {
-        self.adoption_threshold = threshold;
+        self.ledger.threshold = threshold;
     }
 
     /// Sets the granularity of dynamic adoption ("the EIA sets can be
@@ -290,34 +356,32 @@ impl EiaRegistry {
     ///
     /// Panics if `len > 32`.
     pub fn set_adoption_prefix_len(&mut self, len: u8) {
-        assert!(len <= 32, "adoption prefix length {len} out of range");
-        self.adoption_prefix_len = len;
+        self.ledger.set_prefix_len(len);
     }
 
-    /// Bulk preload. Releases excess trie arena capacity afterwards, so
-    /// the write side does not keep peak-build allocations around between
-    /// republishes.
+    /// Bulk preload.
     pub fn preload_all<I: IntoIterator<Item = (PeerId, Prefix)>>(&mut self, assignments: I) {
         for (peer, prefix) in assignments {
             self.preload(peer, prefix);
         }
-        self.trie.shrink_to_fit();
+    }
+
+    /// What an engine keeps of a registry it is handed, at boot and at
+    /// reload alike: the compiled table to publish, and the ledger to keep
+    /// beside it, its policy now the analyzer config's. The trie is
+    /// dropped.
+    pub(crate) fn hand_over(
+        mut self,
+        cfg: &crate::AnalyzerConfig,
+    ) -> (EiaSnapshot, AdoptionLedger) {
+        self.ledger.threshold = cfg.adoption_threshold;
+        self.ledger.set_prefix_len(cfg.adoption_prefix_len);
+        (self.snapshot(), self.ledger)
     }
 
     /// Number of prefixes across all EIA sets.
     pub fn prefix_count(&self) -> usize {
         self.trie.len()
-    }
-
-    /// Approximate resident bytes of the write-side trie arena.
-    pub fn approx_bytes(&self) -> usize {
-        self.trie.approx_bytes()
-    }
-
-    /// Releases excess write-side trie capacity left by bulk builds; see
-    /// [`infilter_net::PrefixTrie::shrink_to_fit`].
-    pub fn shrink_to_fit(&mut self) {
-        self.trie.shrink_to_fit();
     }
 
     /// Sources adopted dynamically so far.
@@ -328,26 +392,25 @@ impl EiaRegistry {
     /// The sightings window: adoption candidates in it (at most 65 536),
     /// and candidates newer ones have pushed out of it, unadopted, so far.
     pub fn sightings_window(&self) -> (usize, u64) {
-        let window = self.sightings.as_ref();
-        window.map_or((0, 0), |w| (w.index.len(), w.evicted))
+        self.ledger.sightings_window()
     }
 
     /// Moves every adoption event buffered since the last drain into
     /// `sink`, in occurrence order. The buffer empties; capacity is kept
     /// for reuse.
     pub fn drain_events(&mut self, sink: &mut Vec<AdoptionEvent>) {
-        sink.append(&mut self.events);
+        self.ledger.drain_events(sink);
     }
 
     /// Adoption events currently buffered and not yet drained.
     pub fn pending_events(&self) -> usize {
-        self.events.len()
+        self.ledger.events.len()
     }
 
     /// Adoption events shed because nothing drained the buffer before it
     /// filled (the store-less deployment case).
     pub fn events_dropped(&self) -> u64 {
-        self.events_dropped
+        self.ledger.events_dropped
     }
 
     /// Re-applies one durably logged adoption during replay: inserts the
@@ -368,14 +431,6 @@ impl EiaRegistry {
         self.adopted = adopted;
     }
 
-    fn push_event(&mut self, event: AdoptionEvent) {
-        if self.events.len() >= EVENT_BUFFER_CAP {
-            self.events_dropped += 1;
-        } else {
-            self.events.push(event);
-        }
-    }
-
     /// The peer whose EIA set contains `addr` (most specific prefix wins).
     pub fn expected_peer(&self, addr: Ipv4Addr) -> Option<PeerId> {
         self.trie.lookup(addr).map(|(_, p)| *p)
@@ -387,12 +442,12 @@ impl EiaRegistry {
         verdict_for(self.expected_peer(addr), observed)
     }
 
-    /// Compiles the current EIA sets into an immutable snapshot for
-    /// lock-free readers: the dynamic trie is flattened into a
-    /// [`FrozenLpm`] so every subsequent classification costs a constant
-    /// number of memory touches. A full, canonical compile — O(table) —
-    /// for boot, warm restore and reload; the engine folds later adoptions
-    /// into the snapshot it already published instead of calling this.
+    /// Compiles the current EIA sets into a snapshot: the dynamic trie is
+    /// flattened into a [`FrozenLpm`] so every subsequent classification
+    /// costs a constant number of memory touches. A full, canonical
+    /// compile — O(table) — for boot, warm restore and reload; the engine
+    /// folds later adoptions into the snapshot it already published
+    /// instead of calling this.
     pub fn snapshot(&self) -> EiaSnapshot {
         EiaSnapshot {
             lpm: FrozenLpm::compile(&self.trie),
@@ -407,34 +462,15 @@ impl EiaRegistry {
     pub fn record_sighting(&mut self, observed: PeerId, addr: Ipv4Addr) -> bool {
         // Already expected here (possibly via an earlier adoption): nothing
         // to learn, and no double adoption.
-        !self.classify(observed, addr).is_match() && self.sight(observed, addr).is_some()
-    }
-
-    /// [`EiaRegistry::record_sighting`] for a caller that knows `addr` is
-    /// still a mismatch at `observed`, returning the range this sighting
-    /// adopted — what the engine patches into its published snapshot.
-    pub(crate) fn sight(&mut self, observed: PeerId, addr: Ipv4Addr) -> Option<Prefix> {
-        if self.adoption_threshold == 0 {
-            return None;
+        if self.classify(observed, addr).is_match() {
+            return false;
         }
-        let range = Prefix::host(addr).truncate(self.adoption_prefix_len);
-        let key = (u64::from(observed.0) << 40)
-            | (u64::from(range.len()) << 32)
-            | u64::from(range.bits());
-        let window = self
-            .sightings
-            .get_or_insert_with(|| Sightings::new(SIGHTINGS_CAPACITY));
-        if !window.sight(key, self.adoption_threshold) {
-            return None;
-        }
+        let Some(range) = self.ledger.sight(observed, addr) else {
+            return false;
+        };
         self.trie.insert(range, observed);
         self.adopted += 1;
-        self.push_event(AdoptionEvent {
-            peer: observed,
-            prefix: range,
-            action: AdoptionAction::Adopted,
-        });
-        Some(range)
+        true
     }
 }
 
@@ -730,6 +766,7 @@ mod tests {
         r.set_adoption_threshold(cfg.build().expect("valid").adoption_threshold);
         assert!(!r.record_sighting(PeerId(1), addr("99.1.2.3")));
         let window = r
+            .ledger
             .sightings
             .as_mut()
             .expect("allocated by the first sighting");
@@ -742,11 +779,14 @@ mod tests {
     #[test]
     fn registries_that_never_sight_stay_small() {
         let mut r = registry();
-        assert!(r.sightings.is_none());
+        assert!(r.ledger.sightings.is_none());
         r.set_adoption_threshold(0);
         r.record_sighting(PeerId(1), addr("77.1.2.3"));
-        assert!(r.sightings.is_none(), "adoption off: nothing to remember");
-        assert!(r.clone().sightings.is_none());
+        assert!(
+            r.ledger.sightings.is_none(),
+            "adoption off: nothing to remember"
+        );
+        assert!(r.clone().ledger.sightings.is_none());
     }
 
     #[test]

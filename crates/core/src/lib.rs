@@ -78,5 +78,5 @@ pub use pipeline::{
     Trainer, Verdict,
 };
 pub use scan::{ScanAnalyzer, ScanConfig, ScanVerdict};
-pub use snapshot::{CachedSnapshot, SnapshotCell};
+pub use snapshot::SnapshotCell;
 pub use traceback::{IngressActivity, TracebackReport};

@@ -363,7 +363,7 @@ pub(crate) struct NnsObservation {
 /// Version and wall-clock age of the EIA snapshot readers currently see.
 ///
 /// Shared as an `Arc` between the engine (which notes every publish —
-/// hot reloads and adoption recompiles alike) and the daemon's HTTP
+/// hot reloads and adoption patches alike) and the daemon's HTTP
 /// thread, so `/healthz` answers staleness questions without a worker
 /// round-trip.
 #[derive(Debug)]

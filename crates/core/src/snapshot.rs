@@ -1,55 +1,35 @@
 //! Read-mostly snapshot publication for the concurrent analyzer.
 //!
 //! The EIA check is read-mostly: millions of classifications per adoption.
-//! [`SnapshotCell`] exploits that by keeping the current value behind an
-//! `Arc` that writers replace ([`SnapshotCell::publish`]) or patch
-//! copy-on-write ([`SnapshotCell::update`]) — never mutating a value a
-//! reader holds. Readers either clone the `Arc` under a briefly-held
-//! shared lock ([`SnapshotCell::load`]) or — on the per-flow hot path —
-//! validate a thread-cached `Arc` against a single relaxed-atomic version
-//! counter ([`SnapshotCell::load_cached`]), which costs one uncontended
-//! atomic load per flow in steady state: no lock, no reference-count
-//! traffic, no shared cache-line writes.
+//! [`SnapshotCell`] keeps the current value behind an `Arc` that writers
+//! replace ([`SnapshotCell::publish`]) or patch copy-on-write
+//! ([`SnapshotCell::update`]) — never mutating a value a reader holds.
+//! Readers look at it under the cell's shared lock for the length of a
+//! closure ([`SnapshotCell::with`]: no handle outlives the lookup, so a
+//! later update patches in place), or clone the `Arc` when they must keep
+//! the value ([`SnapshotCell::load`]: the next update then copies it).
+//! Either way a read is one atomic read-modify-write on a word all readers
+//! share — cheap for one thread, a contended cache line for several.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-/// Globally unique cell identities so thread-local caches keyed by id can
-/// never confuse two cells (even across drop/re-allocation).
-static NEXT_CELL_ID: AtomicU64 = AtomicU64::new(1);
-
 /// A published, versioned `Arc` snapshot. See the module docs.
 #[derive(Debug)]
 pub struct SnapshotCell<T> {
-    id: u64,
     version: AtomicU64,
     slot: RwLock<Arc<T>>,
-}
-
-/// A per-thread cache slot for [`SnapshotCell::load_cached`]. Callers keep
-/// one per (thread, cell) — typically in a `thread_local!` map keyed by
-/// [`SnapshotCell::id`].
-#[derive(Debug, Clone)]
-pub struct CachedSnapshot<T> {
-    version: u64,
-    value: Arc<T>,
 }
 
 impl<T> SnapshotCell<T> {
     /// Publishes an initial value.
     pub fn new(value: T) -> SnapshotCell<T> {
         SnapshotCell {
-            id: NEXT_CELL_ID.fetch_add(1, Ordering::Relaxed),
             version: AtomicU64::new(0),
             slot: RwLock::new(Arc::new(value)),
         }
-    }
-
-    /// This cell's process-unique identity (thread-local cache key).
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// The current version; bumped by every [`SnapshotCell::publish`] and
@@ -58,33 +38,19 @@ impl<T> SnapshotCell<T> {
         self.version.load(Ordering::Acquire)
     }
 
-    /// Clones the current snapshot handle (brief shared lock).
+    /// Clones the current snapshot handle (brief shared lock), for a
+    /// caller that keeps the value: while the handle lives, an
+    /// [`SnapshotCell::update`] copies the value instead of patching it.
     pub fn load(&self) -> Arc<T> {
         Arc::clone(&self.slot.read())
     }
 
-    /// Returns the current snapshot, reusing `cache` when it is still
-    /// current. In steady state this is one atomic load; after a publish it
-    /// falls back to [`SnapshotCell::load`] once per thread.
-    ///
-    /// A stale cache entry (published-to concurrently with the version
-    /// check) can be returned for at most one call; the next call observes
-    /// the bumped version. Callers must tolerate that one-snapshot lag —
-    /// the EIA fast path does, since classification against a snapshot is
-    /// exactly the paper's semantics.
-    pub fn load_cached(&self, cache: &mut Option<CachedSnapshot<T>>) -> Arc<T> {
-        let version = self.version.load(Ordering::Acquire);
-        if let Some(c) = cache {
-            if c.version == version {
-                return Arc::clone(&c.value);
-            }
-        }
-        let value = self.load();
-        *cache = Some(CachedSnapshot {
-            version,
-            value: Arc::clone(&value),
-        });
-        value
+    /// Runs `read` on the current snapshot under the shared lock. The
+    /// borrow cannot leave the closure, so nothing a reader does here can
+    /// make a later [`SnapshotCell::update`] copy; writers wait for `read`
+    /// to return, so keep it to the lookup.
+    pub fn with<R>(&self, read: impl FnOnce(&T) -> R) -> R {
+        read(&self.slot.read())
     }
 
     /// Publishes a new snapshot: future loads see `value`; in-flight
@@ -102,7 +68,7 @@ impl<T> SnapshotCell<T> {
     /// the change is applied in place — no copy, no allocation; otherwise
     /// to a private clone, and those readers keep the snapshot they hold,
     /// exactly as with [`SnapshotCell::publish`]. Either way the version
-    /// moves, so caches refresh and mid-batch staleness checks fire.
+    /// moves, so mid-batch staleness checks fire.
     pub fn update(&self, change: impl FnOnce(&mut T))
     where
         T: Clone,
@@ -132,22 +98,18 @@ mod tests {
     }
 
     #[test]
-    fn cached_load_refreshes_on_version_change() {
-        let cell = SnapshotCell::new("a");
-        let mut cache = None;
-        assert_eq!(*cell.load_cached(&mut cache), "a");
-        // Cached: same Arc back without touching the slot.
-        assert_eq!(*cell.load_cached(&mut cache), "a");
-        cell.publish("b");
-        assert_eq!(*cell.load_cached(&mut cache), "b");
-        assert_eq!(cache.as_ref().map(|c| c.version), Some(1));
-    }
-
-    #[test]
-    fn ids_are_unique() {
-        let a = SnapshotCell::new(0u8);
-        let b = SnapshotCell::new(0u8);
-        assert_ne!(a.id(), b.id());
+    fn with_reads_the_latest_value_and_holds_no_handle() {
+        let cell = SnapshotCell::new(vec![1, 2, 3]);
+        let before = Arc::as_ptr(&cell.load());
+        assert_eq!(cell.with(|v| v.len()), 3);
+        cell.update(|v| v.push(4));
+        assert_eq!(
+            Arc::as_ptr(&cell.load()),
+            before,
+            "a finished `with` pins nothing: the update patched in place"
+        );
+        cell.publish(vec![9]);
+        assert_eq!(cell.with(|v| v[0]), 9);
     }
 
     #[test]

@@ -214,12 +214,34 @@ fn a_held_snapshot_is_copied_and_an_unheld_one_is_patched_in_place() {
         adopting.send(()).expect("reader waits");
     });
 
-    // In place: with the reader gone nobody holds the published table, so
-    // the next adoption reuses its allocation.
-    let before = Arc::as_ptr(&engine.eia_snapshot());
-    adopt(&engine, second);
-    let after = engine.eia_snapshot();
-    assert_eq!(Arc::as_ptr(&after), before, "patched, not copied");
-    assert!(after.classify(PeerId(1), second.into()).is_match());
-    assert_eq!(after.adopted_count(), 2);
+    // In place: with the reader gone nobody holds the published table —
+    // not even a live thread that has classified through the engine, per
+    // flow and batched, and is parked now — so the next adoption reuses
+    // its allocation.
+    let (classifying, classified) = mpsc::channel();
+    let (parking, parked) = mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        // The sender moves in here, so an assertion failing below drops it
+        // and un-parks the thread instead of hanging the test.
+        let (engine, parking) = (&engine, parking);
+        s.spawn(move || {
+            let legal = flow(0x0300_0001, 0);
+            assert!(engine.process(PeerId(1), &legal).is_legal());
+            let mut batch = FlowBatch::new();
+            batch.push_record(&legal);
+            let mut verdicts = Vec::new();
+            engine.process_flow_batch_into(PeerId(1), &batch, Effort::Full, &mut verdicts);
+            assert_eq!(verdicts, [Verdict::Legal]);
+            classifying.send(()).expect("main thread waits");
+            let _ = parked.recv();
+        });
+        classified.recv().expect("the other thread has classified");
+        let before = Arc::as_ptr(&engine.eia_snapshot());
+        adopt(engine, second);
+        let after = engine.eia_snapshot();
+        assert_eq!(Arc::as_ptr(&after), before, "patched, not copied");
+        assert!(after.classify(PeerId(1), second.into()).is_match());
+        assert_eq!(after.adopted_count(), 2);
+        parking.send(()).expect("the other thread is parked");
+    });
 }

@@ -1,12 +1,15 @@
 //! Stress tests for [`ConcurrentAnalyzer`]: heavy multi-thread load must
-//! account every flow exactly. (Verdict correctness is
+//! account every flow exactly, and the EIA table must stay the one its
+//! reloads and adoptions add up to. (Verdict correctness is
 //! `engine_contract.rs`'s job.)
 
+use std::sync::mpsc;
+
 use infilter_core::{
-    AnalyzerConfig, ConcurrentAnalyzer, ConcurrentConfig, EiaRegistry, Mode, PeerId, Trainer,
-    Verdict,
+    AnalyzerConfig, ConcurrentAnalyzer, ConcurrentConfig, Effort, EiaRegistry, Mode, PeerId,
+    Trainer, Verdict,
 };
-use infilter_netflow::FlowRecord;
+use infilter_netflow::{FlowBatch, FlowRecord};
 use infilter_nns::NnsParams;
 
 const THREADS: u32 = 8;
@@ -236,4 +239,122 @@ fn stress_enhanced_identities_hold() {
     let last = engine.explain_last(64);
     assert!(!last.is_empty());
     assert!(last.windows(2).all(|w| w[0].seq > w[1].seq));
+}
+
+/// `/reload` racing in-flight batches and in-place adoption patches — the
+/// lock discipline of the one EIA table, sampled: four threads classify
+/// (two per flow, two batched; one flow in 16 a re-homed source, two to a
+/// /24, so they adopt as well) while a fifth drives 300 adoptions and a
+/// sixth reloads twice, cued a third and two thirds of the way through
+/// them. It must terminate, account every flow, and leave published
+/// exactly the last reloaded table plus the adoptions `adoption_events`
+/// still drains: a reload replaces the ledger with the table, so what was
+/// adopted before it is gone from both.
+#[test]
+fn reloads_race_adoptions_and_in_flight_batches() {
+    const FLOWS: u32 = 12_800;
+    const BATCH: u32 = 64;
+    const DRIVEN: u32 = 300;
+    const AFTER: u32 = 20;
+
+    let engine = ConcurrentAnalyzer::new(
+        Trainer::new(tiny_config(Mode::Enhanced))
+            .train_enhanced(eia(), &training())
+            .expect("training succeeds"),
+        ConcurrentConfig::default(),
+    );
+    // What a reload swaps in: the boot table plus a prefix to tell it by.
+    let reloaded = |marker: &str| {
+        let mut r = eia();
+        r.preload(PeerId(2), marker.parse().expect("static prefix"));
+        r
+    };
+    // Shaped like a training flow, so every EIA suspect is NNS-cleared.
+    let trained = training()[0];
+    let flow = |src: u32| FlowRecord {
+        src_addr: src.into(),
+        ..trained
+    };
+    let classified = |t: u32, i: u32| {
+        flow(if i.is_multiple_of(16) {
+            0x0320_0000 + (t * FLOWS + i) * 8
+        } else {
+            0x0300_0000 + i
+        })
+    };
+
+    let (cue, cued) = mpsc::channel();
+    let (reloading, reloads_done) = mpsc::channel();
+    std::thread::scope(|s| {
+        let engine = &engine;
+        for t in 0..2 {
+            s.spawn(move || {
+                for i in 0..FLOWS {
+                    engine.process(PeerId(1), &classified(t, i));
+                }
+            });
+        }
+        for t in 2..4 {
+            s.spawn(move || {
+                let mut batch = FlowBatch::new();
+                let mut verdicts = Vec::new();
+                for first in (0..FLOWS).step_by(BATCH as usize) {
+                    batch.clear();
+                    for i in first..first + BATCH {
+                        batch.push_record(&classified(t, i));
+                    }
+                    engine.process_flow_batch_into(PeerId(1), &batch, Effort::Full, &mut verdicts);
+                }
+                assert_eq!(verdicts.len(), FLOWS as usize);
+            });
+        }
+        s.spawn(move || {
+            // Each /24 is this thread's alone: two sightings adopt it,
+            // unless a reload falls between them.
+            let drive = |k: u32| {
+                for _ in 0..2 {
+                    let verdict = engine.process(PeerId(1), &flow(0x0330_0007 + (k << 8)));
+                    assert!(verdict.is_forgiven());
+                }
+            };
+            for k in 0..DRIVEN {
+                drive(k);
+                if k == DRIVEN / 3 || k == 2 * DRIVEN / 3 {
+                    cue.send(()).expect("the reloader listens");
+                }
+            }
+            // A few more once the table has stopped changing hands, so the
+            // ledger that survives is known not to be empty.
+            reloads_done.recv().expect("the reloader reports");
+            (DRIVEN..DRIVEN + AFTER).for_each(drive);
+        });
+        s.spawn(move || {
+            for marker in ["9.0.0.0/8", "10.0.0.0/8"] {
+                cued.recv().expect("the driver cues twice");
+                assert_eq!(engine.reload_eia(reloaded(marker)), 3);
+            }
+            reloading.send(()).expect("the driver waits");
+        });
+    });
+
+    let m = engine.metrics();
+    assert_eq!(m.flows, u64::from(4 * FLOWS + 2 * (DRIVEN + AFTER)));
+    assert_eq!(m.flows, m.eia_match + m.eia_suspect);
+    assert_eq!(m.eia_suspect, m.attacks() + m.forgiven);
+
+    let mut events = Vec::new();
+    engine.adoption_events(&mut events);
+    assert!(events.len() >= AFTER as usize);
+    assert!(
+        m.adoptions >= u64::from(DRIVEN / 3) + events.len() as u64,
+        "the first reload alone discarded {} adoptions",
+        DRIVEN / 3
+    );
+    let mut want = reloaded("10.0.0.0/8");
+    for event in &events {
+        want.apply_adoption(event.peer, event.prefix);
+    }
+    let (published, want) = (engine.eia_snapshot(), want.snapshot());
+    assert!(published.iter().eq(want.iter()));
+    assert!(*published == want);
 }

@@ -378,9 +378,7 @@ impl DaemonConfig {
     /// Builds the preloaded EIA registry from the `peer` lines.
     pub fn eia_registry(&self, adoption_threshold: u32) -> EiaRegistry {
         let mut eia = EiaRegistry::new(adoption_threshold);
-        for &(peer, prefix) in &self.peers {
-            eia.preload(peer, prefix);
-        }
+        eia.preload_all(self.peers.iter().copied());
         eia
     }
 }

@@ -274,12 +274,19 @@ fn listener_loop(socket: &UdpSocket, intake: &Intake, stop: &AtomicBool) {
             Ok((n, _)) => {
                 intake.push_payload_stamped(&buf[..n], &mut scratch, recv_start_ns, now_ns())
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+            Err(e) if recv_retries(e.kind()) => {}
             Err(_) => break,
         }
     }
+}
+
+/// Whether a failed `recv_from` only means "nothing yet, ask again": the
+/// read timeout that lets the loop poll `stop`, or a signal that cut the
+/// wait short — std does not retry `recvfrom`, and with `SO_RCVTIMEO` set
+/// Linux returns `EINTR` after a stop/continue (signal(7)).
+fn recv_retries(kind: std::io::ErrorKind) -> bool {
+    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    matches!(kind, WouldBlock | TimedOut | Interrupted)
 }
 
 fn worker_loop<E: Engine>(
@@ -613,5 +620,17 @@ mod tests {
         assert_eq!(resolve_route("GET", "/v1metrics"), None);
         assert_eq!(resolve_route("POST", "/metrics"), None);
         assert_eq!(resolve_route("GET", "/nope"), None);
+    }
+
+    #[test]
+    fn a_signal_or_a_timeout_keeps_the_listener_alive_a_real_error_ends_it() {
+        use std::io::ErrorKind;
+        // `EINTR`: what a SIGSTOP/SIGCONT leaves on a socket with
+        // `SO_RCVTIMEO`.
+        assert!(recv_retries(ErrorKind::Interrupted));
+        assert!(recv_retries(ErrorKind::WouldBlock));
+        assert!(recv_retries(ErrorKind::TimedOut));
+        assert!(!recv_retries(ErrorKind::ConnectionRefused));
+        assert!(!recv_retries(ErrorKind::Other));
     }
 }

@@ -239,16 +239,18 @@ impl Intake {
     /// Pops up to `budget` batches, round-robin across rings so one hot
     /// peer cannot starve the others.
     pub fn pop_round(&self, budget: usize, out: &mut Vec<Batch>) {
-        let mut exhausted = vec![false; self.rings.len()];
-        while out.len() < budget && !exhausted.iter().all(|&e| e) {
-            for (i, ring) in self.rings.iter().enumerate() {
-                if out.len() >= budget {
-                    break;
+        // Stops at the budget or after one full lap of empty rings.
+        let mut empties = 0;
+        for ring in self.rings.iter().cycle() {
+            if out.len() >= budget || empties == self.rings.len() {
+                break;
+            }
+            match ring.pop() {
+                Some(batch) => {
+                    out.push(batch);
+                    empties = 0;
                 }
-                match ring.pop() {
-                    Some(batch) => out.push(batch),
-                    None => exhausted[i] = true,
-                }
+                None => empties += 1,
             }
         }
     }
@@ -304,6 +306,43 @@ mod tests {
         shape.sort_unstable();
         assert_eq!(shape, vec![(1, 1), (1, 2), (2, 2)]);
         assert_eq!(intake.metrics().snapshot().flows, 5);
+    }
+
+    #[test]
+    fn pop_round_interleaves_rings_and_stops_at_the_budget() {
+        let intake = intake(2, 8);
+        // Ring 0 holds batches of 1, 2, 3, 6, 7, 8 records; ring 1 of 4, 5.
+        let pushes = [
+            (2, 1),
+            (2, 2),
+            (2, 3),
+            (2, 6),
+            (2, 7),
+            (2, 8),
+            (1, 4),
+            (1, 5),
+        ];
+        for (peer, flows) in pushes {
+            intake.push_batch(Batch::new(
+                PeerId(peer),
+                (0..flows).map(|_| record(peer)).collect(),
+            ));
+        }
+        let shape = |out: &[Batch]| -> Vec<usize> { out.iter().map(|b| b.records.len()).collect() };
+        let mut out = Vec::new();
+        intake.pop_round(3, &mut out);
+        assert_eq!(shape(&out), [1, 4, 2], "one per ring per lap, cut at 3");
+        // `budget` bounds `out`, not this call's share of it.
+        intake.pop_round(3, &mut out);
+        assert_eq!(out.len(), 3);
+        out.clear();
+        intake.pop_round(16, &mut out);
+        // Every call starts at ring 0; a ring found empty, however often,
+        // does not end the round while the other still yields.
+        assert_eq!(shape(&out), [3, 5, 6, 7, 8]);
+        out.clear();
+        intake.pop_round(16, &mut out);
+        assert!(out.is_empty() && intake.is_empty());
     }
 
     #[test]

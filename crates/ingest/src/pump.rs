@@ -278,9 +278,7 @@ impl<E: Engine> IngestPump<E> {
     pub fn reload_eia_table(&mut self, peers: Vec<(PeerId, Prefix)>) -> usize {
         let threshold = self.engine.config().adoption_threshold;
         let mut eia = infilter_core::EiaRegistry::new(threshold);
-        for (peer, prefix) in peers {
-            eia.preload(peer, prefix);
-        }
+        eia.preload_all(peers);
         let prefixes = self.engine.reload_eia(eia);
         if self.store.is_some() {
             self.compact_store();

@@ -24,10 +24,10 @@ const NO_MATCH: u32 = 0x7FFF_FFFF;
 /// Any IPv4 lookup therefore costs at most three table touches before the
 /// final value read, regardless of how many prefixes are stored.
 ///
-/// The intended pattern is read/write splitting: a [`PrefixTrie`] stays
-/// the authoritative write side, [`FrozenLpm::compile`] builds the frozen
-/// view readers classify against (boot, reload), and single changes are
-/// patched in with [`FrozenLpm::insert`] — O(one /16 subtree), not
+/// The intended pattern: fill a [`PrefixTrie`], build the table readers
+/// classify against with [`FrozenLpm::compile`] (boot, reload), and drop
+/// the trie — the frozen table is then the only copy. Single changes are
+/// patched into it with [`FrozenLpm::insert`] — O(one /16 subtree), not
 /// O(table). Either way results are identical to [`PrefixTrie::lookup`] on
 /// the equivalent trie for every address, including default routes, host
 /// routes, and shadowed nested prefixes.

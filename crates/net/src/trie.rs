@@ -87,9 +87,8 @@ impl<V> PrefixTrie<V> {
         self.nodes.capacity() * std::mem::size_of::<Node<V>>()
     }
 
-    /// Releases excess arena capacity left over from bulk builds, so a
-    /// write-side trie stops holding peak-capacity allocations between
-    /// republishes. Call after bulk loads (EIA preloads, RIB dumps).
+    /// Releases excess arena capacity left over from bulk builds. Call
+    /// after bulk loads into a trie that is kept (RIB dumps).
     pub fn shrink_to_fit(&mut self) {
         self.nodes.shrink_to_fit();
     }

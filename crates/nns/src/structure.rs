@@ -99,7 +99,7 @@ pub(crate) const EMPTY: u32 = u32::MAX;
 /// over the `d` distance scales; search cost is
 /// `O(log d · M1 · M2 · d/64)` — "at most quadratic in the dimension" as
 /// the paper puts it. Memory is `O(d · M1 · 2^M2)` entries, polynomial in
-/// the training-set size as guaranteed by [KOR].
+/// the training-set size as guaranteed by \[KOR\].
 ///
 /// # Examples
 ///

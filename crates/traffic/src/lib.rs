@@ -14,7 +14,7 @@
 //! * [`AttackKind`] enumerates the twelve attacks and generates each one's
 //!   flow-level footprint (single-packet malformed flows for the stealthy
 //!   attacks, host/port fan-out for scans, sustained floods for TFN2K);
-//! * [`Trace`] is the replayable artifact [`infilter_dagflow`] consumes —
+//! * [`Trace`] is the replayable artifact `infilter_dagflow` consumes —
 //!   the stand-in for the paper's DAG-format trace files.
 //!
 //! Sources and destinations in a [`FlowTemplate`] are abstract *slots*;
