@@ -1,7 +1,7 @@
 //! Throughput of the ingest path per degradation rung.
 //!
 //! Measures flows/second through `process_flow_batch_into` — the
-//! struct-of-arrays batch path the daemon's pump drives — at each rung of
+//! batch path the daemon's pump drives — at each rung of
 //! the load-shedding ladder: full EI, skip-NNS, and BI-only, over a
 //! suspect-heavy mix (1 flow in 4 arrives at the wrong peer, the regime
 //! where the rungs actually differ; a ≥99 %-legal mix takes the fast path
@@ -10,7 +10,14 @@
 //!
 //! Besides the criterion report, a manual timing pass writes per-rung
 //! flows/s to `crates/bench/BENCH_ingest.json` so CI can diff the baseline
-//! machine-readably. The rungs run adoption-off so their mix stays
+//! machine-readably, and next to them `datagram_round_ns`: what one
+//! datagram costs on one thread from wire bytes to verdicts
+//! (`push_payload_stamped` → `step`), at 1 and at 30 legal records, and at
+//! 30 records alternating between two ingresses — which CI holds to 3× the
+//! one-ingress datagram, the same run (14× when the intake cut a datagram
+//! at every change of interface).
+//!
+//! The rungs run adoption-off so their mix stays
 //! stationary; `full_adopting` is the full rung as deployed — default
 //! adoption threshold, suspect sources that never repeat (every sighting
 //! inserts into the sightings window and, once it is full, evicts),
@@ -31,10 +38,11 @@ use infilter_core::{
     AnalyzerConfig, ConcurrentAnalyzer, ConcurrentConfig, Effort, EiaRegistry, Engine, Mode,
     PeerId, Trainer, Verdict,
 };
-use infilter_ingest::{Batch, IngestMetrics, Intake};
-use infilter_netflow::FlowRecord;
+use infilter_ingest::{Batch, IngestMetrics, IngestPump, Intake, LadderConfig};
+use infilter_netflow::{Datagram, FlowBatch, FlowRecord, MAX_RECORDS_PER_DATAGRAM};
 use infilter_nns::NnsParams;
 use infilter_store::{DiskStore, EiaStore};
+use infilter_telemetry::trace::now_ns;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -141,6 +149,55 @@ fn batches(seed: u64) -> Vec<Batch> {
             Batch::new(PeerId(1), records)
         })
         .collect()
+}
+
+/// Nanoseconds per datagram for whole `push_payload_stamped` → `step`
+/// rounds of 64 datagrams on one thread, best of `passes`: `records` legal
+/// flows each, record `i` arriving through `ingress(i)`. The first pass
+/// also warms the return ring, so the figure is the steady state.
+fn datagram_round_ns(passes: usize, records: usize, ingress: impl Fn(usize) -> u16) -> f64 {
+    const ROUNDS: usize = 256;
+    const PER_ROUND: usize = 64;
+    let shapes = training();
+    let records: Vec<FlowRecord> = (0..records)
+        .map(|i| {
+            let input_if = ingress(i);
+            let base = if input_if == 1 {
+                0x0300_0000u32
+            } else {
+                0x0320_0000
+            };
+            FlowRecord {
+                src_addr: (base + i as u32).into(),
+                input_if,
+                ..shapes[i]
+            }
+        })
+        .collect();
+    let payload = Datagram::new(0, 0, &records).encode();
+    let intake = Arc::new(Intake::new(4, 512, Arc::new(IngestMetrics::default())));
+    let mut pump = IngestPump::new(
+        engine(0),
+        Arc::clone(&intake),
+        LadderConfig::default(),
+        PER_ROUND,
+        4096,
+    );
+    let mut scratch = FlowBatch::with_capacity(MAX_RECORDS_PER_DATAGRAM);
+    let mut best = f64::INFINITY;
+    for _ in 0..passes + 1 {
+        let start = Instant::now();
+        for _ in 0..ROUNDS {
+            for _ in 0..PER_ROUND {
+                let recv_start = now_ns();
+                intake.push_payload_stamped(&payload, &mut scratch, recv_start, now_ns());
+            }
+            while pump.step() > 0 {}
+        }
+        best = best.min(start.elapsed().as_nanos() as f64 / (ROUNDS * PER_ROUND) as f64);
+    }
+    assert_eq!(intake.metrics().snapshot().shed_flows, 0);
+    best
 }
 
 fn bench_ladder(c: &mut Criterion) {
@@ -292,11 +349,22 @@ fn baseline_json(_c: &mut Criterion) {
             total_flows as f64 / best
         ));
     }
+    let rounds = [
+        ("records_1", datagram_round_ns(passes, 1, |_| 1)),
+        ("records_30", datagram_round_ns(passes, 30, |_| 1)),
+        (
+            "records_30_alternating",
+            datagram_round_ns(passes, 30, |i| 1 + (i % 2) as u16),
+        ),
+    ]
+    .map(|(shape, ns)| format!("    \"{shape}\": {ns:.0}"));
     let json = format!(
         "{{\n  \"bench\": \"ingest_ladder\",\n  \"unit\": \"flows_per_sec\",\n  \
-         \"flows_per_iter\": {},\n  \"suspect_share\": 0.25,\n  \"rungs\": {{\n{}\n  }}\n}}\n",
+         \"flows_per_iter\": {},\n  \"suspect_share\": 0.25,\n  \"rungs\": {{\n{}\n  }},\n  \
+         \"datagram_round_ns\": {{\n{}\n  }}\n}}\n",
         total_flows,
-        entries.join(",\n")
+        entries.join(",\n"),
+        rounds.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_ingest.json");
     if let Err(e) = std::fs::write(path, json) {
@@ -321,9 +389,9 @@ fn bench_intake_ring(c: &mut Criterion) {
             let mut out = Vec::with_capacity(BATCHES);
             (0..iters)
                 .map(|_| {
-                    // Clone outside the timed region: duplicating a
-                    // struct-of-arrays batch is ~18 allocations, which
-                    // would otherwise dwarf the push/pop being measured.
+                    // Clone outside the timed region: duplicating a batch
+                    // is three allocations and a 1.6 KB copy, which would
+                    // otherwise dwarf the push/pop being measured.
                     let round: Vec<Batch> = work.clone();
                     let start = Instant::now();
                     for batch in round {

@@ -265,8 +265,9 @@ impl Daemon {
 
 fn listener_loop(socket: &UdpSocket, intake: &Intake, stop: &AtomicBool) {
     let mut buf = [0u8; MAX_DATAGRAM];
-    // One decode scratch per listener thread: well-formed datagrams reuse
-    // its column buffers instead of allocating per packet.
+    // The batch the next datagram decodes into. A well-formed datagram
+    // leaves with it and a recycled batch takes its place, so the loop
+    // allocates only until the return ring has warmed up.
     let mut scratch = FlowBatch::with_capacity(infilter_netflow::MAX_RECORDS_PER_DATAGRAM);
     while !stop.load(Ordering::Relaxed) {
         let recv_start_ns = now_ns();

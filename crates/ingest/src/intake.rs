@@ -1,18 +1,28 @@
-//! Bounded intake rings between the UDP listener threads and the worker.
+//! Bounded intake rings between the UDP listener threads and the worker,
+//! and the return ring that carries spent batches back.
 //!
-//! Listeners decode each datagram off the socket, split its records into
-//! per-ingress batches (NetFlow v5 records carry the SNMP input interface,
-//! which doubles as the peer-AS index on this testbed), and push the
-//! batches onto lock-free bounded rings keyed by `ingress % rings`. A full
-//! ring sheds the batch — counted, never blocking the socket read loop,
-//! because a blocked listener turns into kernel-side UDP drops that no
-//! counter would ever see.
+//! A listener decodes each datagram off the socket into its scratch
+//! [`FlowBatch`] and hands that very batch to the ring keyed by
+//! `ingress % rings` (NetFlow v5 records carry the SNMP input interface,
+//! which doubles as the peer-AS index on this testbed), taking a spent one
+//! from the return ring as its next scratch; the worker gives every batch
+//! back through [`Intake::recycle`] once the engine has seen it. After
+//! warm-up a datagram therefore costs one copy of its bytes (the decode)
+//! and no heap traffic on either thread: the batches in existence are
+//! bounded by the most that were ever in flight at once — at most about
+//! twice `rings × capacity` — not by how much traffic has passed. Only a
+//! datagram whose records name more than one ingress is copied a second
+//! time, into one recycled batch per ingress.
+//!
+//! A full ring sheds the batch — counted, never blocking the socket read
+//! loop, because a blocked listener turns into kernel-side UDP drops that
+//! no counter would ever see.
 
 use std::sync::Arc;
 
 use crossbeam::queue::ArrayQueue;
 use infilter_core::{JournalEvent, PeerId};
-use infilter_netflow::{FlowBatch, FlowRecord};
+use infilter_netflow::{FlowBatch, MAX_RECORDS_PER_DATAGRAM};
 use infilter_telemetry::trace::now_ns;
 use infilter_telemetry::{Journal, Tracer};
 
@@ -33,19 +43,21 @@ pub struct BatchTrace {
     pub recv_end_ns: u64,
     /// When the wire decode finished.
     pub decoded_ns: u64,
-    /// When the batch was enqueued (stamped by [`Intake::push_batch`]).
+    /// When the batch was enqueued. Every batch carries it — the worker's
+    /// queue-wait histogram covers untraced batches too. A decoded
+    /// datagram is handed to its ring with nothing in between, so on the
+    /// listener path this is the same clock read as `decoded_ns`.
     pub enqueued_ns: u64,
 }
 
-/// One ingress-uniform run of records — the unit the worker feeds to
-/// `Engine::process_flow_batch_into`. Records ride in struct-of-arrays
-/// form end to end: the listener decodes straight into columns and the
-/// engine's batch path consumes them without transposing.
+/// The records of one datagram that arrived through one ingress — the
+/// unit the worker feeds to `Engine::process_flow_batch_into`. They ride
+/// as the [`FlowBatch`] the listener decoded into, end to end.
 #[derive(Debug, Clone)]
 pub struct Batch {
     /// The peer AS these records arrived through.
     pub ingress: PeerId,
-    /// The decoded flow records, as columns.
+    /// The decoded flow records.
     pub records: FlowBatch,
     /// Trace stamps (zeroed when untraced).
     pub trace: BatchTrace,
@@ -66,6 +78,10 @@ impl Batch {
 #[derive(Debug)]
 pub struct Intake {
     rings: Vec<ArrayQueue<Batch>>,
+    /// Spent record buffers on their way back to the listeners, emptied
+    /// but with their capacity kept. As large as all the rings together:
+    /// a burst that filled every ring finds its buffers here the next time.
+    spares: ArrayQueue<FlowBatch>,
     metrics: Arc<IngestMetrics>,
     tracer: Arc<Tracer>,
     journal: Arc<Journal<JournalEvent>>,
@@ -104,6 +120,7 @@ impl Intake {
         assert!(rings > 0 && capacity > 0);
         Intake {
             rings: (0..rings).map(|_| ArrayQueue::new(capacity)).collect(),
+            spares: ArrayQueue::new(rings * capacity),
             metrics,
             tracer,
             journal,
@@ -125,27 +142,26 @@ impl Intake {
         &self.journal
     }
 
-    /// Decodes one datagram payload and enqueues its records as
-    /// per-ingress batches, using a fresh decode buffer. Prefer
-    /// [`Intake::push_payload_with`] on the listener hot path.
+    /// [`Intake::push_payload_stamped`] with a throw-away scratch and no
+    /// recv stamps (tests and tools; a listener keeps its scratch).
     pub fn push_payload(&self, payload: &[u8]) {
-        self.push_payload_with(payload, &mut FlowBatch::new());
-    }
-
-    /// [`Intake::push_payload`] decoding into a caller-owned scratch
-    /// batch, so a listener thread reuses one set of column buffers for
-    /// every well-formed datagram instead of allocating per packet.
-    /// Malformed payloads are counted and dropped; this never panics and
-    /// never blocks.
-    pub fn push_payload_with(&self, payload: &[u8], scratch: &mut FlowBatch) {
         let at = now_ns();
-        self.push_payload_stamped(payload, scratch, at, at);
+        self.push_payload_stamped(payload, &mut FlowBatch::new(), at, at);
     }
 
-    /// [`Intake::push_payload_with`] carrying the listener's recv stamps —
-    /// the datagram-ingress point where the head-based trace sampling
-    /// decision is made. A sampled datagram's first same-ingress run
-    /// carries the trace id (and the recv/decode stamps) to the worker.
+    /// Decodes one datagram payload into `scratch` and enqueues its
+    /// records, one batch per ingress. Malformed payloads are counted and
+    /// dropped; this never panics and never blocks.
+    ///
+    /// `scratch` is the listener thread's decode buffer, and what it holds
+    /// on return is unspecified but reusable: a datagram from one ingress
+    /// — what an exporter batching per interface sends — is not copied out
+    /// of it; the scratch itself becomes the enqueued batch and a spent
+    /// one from the return ring takes its place.
+    ///
+    /// This is also the datagram-ingress point where the head-based trace
+    /// sampling decision is made: a sampled datagram's first batch carries
+    /// the trace id, and the listener's recv stamps, to the worker.
     pub fn push_payload_stamped(
         &self,
         payload: &[u8],
@@ -154,77 +170,92 @@ impl Intake {
         recv_end_ns: u64,
     ) {
         scratch.clear();
-        match scratch.decode_datagram(payload) {
-            Ok(_) => {
-                self.metrics.record_datagram(scratch.len() as u64);
-                let stamps = BatchTrace {
-                    trace_id: self.tracer.decide(),
-                    recv_start_ns,
-                    recv_end_ns,
-                    decoded_ns: now_ns(),
-                    enqueued_ns: 0,
-                };
-                self.push_flow_batch_stamped(scratch, stamps);
+        if let Err(e) = scratch.decode_datagram(payload) {
+            self.metrics.record_decode_error(&e);
+            return;
+        }
+        self.metrics.record_datagram(scratch.len() as u64);
+        let decoded_ns = now_ns();
+        let trace = BatchTrace {
+            trace_id: self.tracer.decide(),
+            recv_start_ns,
+            recv_end_ns,
+            decoded_ns,
+            enqueued_ns: decoded_ns,
+        };
+        match *scratch.input_ifs() {
+            [input_if, ref rest @ ..] if rest.iter().all(|&i| i == input_if) => {
+                let records = std::mem::replace(scratch, self.spare());
+                self.enqueue(Batch {
+                    ingress: PeerId(input_if),
+                    records,
+                    trace,
+                });
             }
-            Err(e) => self.metrics.record_decode_error(&e),
+            _ => self.push_split(scratch, trace),
         }
     }
 
-    /// Splits a decoded batch into consecutive same-ingress runs and
-    /// enqueues each; exporters batch per interface, so a datagram is
-    /// usually one run (copied column-wise into the enqueued batch).
+    /// Copies a decoded batch the caller keeps into one enqueued batch per
+    /// ingress (see [`Intake::push_payload_stamped`] for the listener's
+    /// copy-free path).
     pub fn push_flow_batch(&self, batch: &FlowBatch) {
-        self.push_flow_batch_stamped(batch, BatchTrace::default());
+        let trace = BatchTrace {
+            enqueued_ns: now_ns(),
+            ..BatchTrace::default()
+        };
+        self.push_split(batch, trace);
     }
 
-    /// [`Intake::push_flow_batch`] with trace stamps. Only the first run
-    /// inherits the datagram's trace id — one datagram, one trace — but
-    /// every run gets the queue-wait stamp from [`Intake::push_batch`].
-    fn push_flow_batch_stamped(&self, batch: &FlowBatch, stamps: BatchTrace) {
+    /// Enqueues one batch per **distinct** `input_if` of `batch`, in
+    /// first-appearance order, rows in arrival order within each. Only the
+    /// first inherits the datagram's trace id — one datagram, one trace —
+    /// but all carry its enqueue stamp.
+    ///
+    /// The unit is the ingress, not the consecutive same-ingress run:
+    /// order across ingresses was never kept (different rings, round-robin
+    /// pop), order within one still is, and cutting at every change of
+    /// interface let a single datagram whose records alternate between two
+    /// interfaces — which an exporter interleaving its interfaces sends,
+    /// and anyone who can reach the port can craft — buy thirty ring slots
+    /// and thirty engine calls for 1.4 KB.
+    fn push_split(&self, batch: &FlowBatch, mut trace: BatchTrace) {
         let ifs = batch.input_ifs();
-        let mut start = 0;
-        let mut trace = stamps;
-        while start < ifs.len() {
-            let input_if = ifs[start];
-            let end = start + ifs[start..].iter().take_while(|&&i| i == input_if).count();
-            let mut records = FlowBatch::with_capacity(end - start);
-            records.extend_from(batch, start..end);
-            self.push_batch(Batch {
+        for (first, &input_if) in ifs.iter().enumerate() {
+            if ifs[..first].contains(&input_if) {
+                continue;
+            }
+            let mut records = self.spare();
+            let mut at = 0;
+            for run in ifs.chunk_by(|a, b| a == b) {
+                if run[0] == input_if {
+                    records.extend_from(batch, at..at + run.len());
+                }
+                at += run.len();
+            }
+            self.enqueue(Batch {
                 ingress: PeerId(input_if),
                 records,
                 trace,
             });
-            trace = BatchTrace::default();
-            start = end;
+            trace = BatchTrace {
+                enqueued_ns: trace.enqueued_ns,
+                ..BatchTrace::default()
+            };
         }
     }
 
-    /// Splits a record slice into consecutive same-ingress runs and
-    /// enqueues each (row-major convenience for tests and replay tools).
-    pub fn push_records(&self, records: &[FlowRecord]) {
-        let mut rest = records;
-        while let Some(first) = rest.first() {
-            let run = rest
-                .iter()
-                .take_while(|r| r.input_if == first.input_if)
-                .count();
-            self.push_batch(Batch::new(
-                PeerId(first.input_if),
-                rest[..run].iter().copied().collect(),
-            ));
-            rest = &rest[run..];
-        }
-    }
-
-    /// Enqueues one batch, shedding it (counted and journalled) if the
-    /// target ring is full. The enqueue stamp is taken here — when the
-    /// tracer is live — so the worker can measure ring wait.
+    /// Stamps and enqueues one batch, shedding it (counted and journalled)
+    /// if the target ring is full.
     pub fn push_batch(&self, mut batch: Batch) {
-        let ring_index = batch.ingress.0 as usize % self.rings.len();
-        let ring = &self.rings[ring_index];
         batch.trace.enqueued_ns = now_ns();
+        self.enqueue(batch);
+    }
+
+    fn enqueue(&self, batch: Batch) {
+        let ring_index = batch.ingress.0 as usize % self.rings.len();
         let flows = batch.records.len() as u64;
-        if ring.push(batch).is_err() {
+        if let Err(shed) = self.rings[ring_index].push(batch) {
             self.metrics.record_shed(flows);
             self.journal.record(JournalEvent::RingDrop {
                 ring: ring_index as u16,
@@ -233,7 +264,28 @@ impl Intake {
             // A shed is exactly the moment an operator wants a trace of
             // the surviving traffic's queue wait: force the next decision.
             self.tracer.force_next();
+            self.recycle(shed.records);
         }
+    }
+
+    /// Gives a spent batch's records back to the listeners: whoever pops a
+    /// [`Batch`] calls this once it is done with it (the pump does, after
+    /// the engine call). Dropping the batch instead is correct but makes
+    /// the listener allocate its replacement.
+    pub fn recycle(&self, mut records: FlowBatch) {
+        records.clear();
+        // A full return ring already holds a buffer for every ring slot;
+        // the surplus is freed.
+        let _ = self.spares.push(records);
+    }
+
+    /// An empty batch for the next decode or split: a recycled one, or —
+    /// until as many exist as were ever in flight at once — a new one that
+    /// fits any datagram, so it never grows.
+    fn spare(&self) -> FlowBatch {
+        self.spares
+            .pop()
+            .unwrap_or_else(|| FlowBatch::with_capacity(MAX_RECORDS_PER_DATAGRAM))
     }
 
     /// Pops up to `budget` batches, round-robin across rings so one hot
@@ -280,7 +332,7 @@ impl Intake {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use infilter_netflow::Datagram;
+    use infilter_netflow::{Datagram, FlowRecord};
 
     fn record(input_if: u16) -> FlowRecord {
         FlowRecord {
@@ -294,18 +346,115 @@ mod tests {
     }
 
     #[test]
-    fn splits_mixed_datagrams_into_ingress_runs() {
+    fn splits_mixed_datagrams_per_distinct_ingress() {
         let intake = intake(2, 8);
-        let records = [record(1), record(1), record(2), record(2), record(1)];
+        let records: Vec<FlowRecord> = [1, 1, 2, 2, 1]
+            .iter()
+            .zip(0..)
+            .map(|(&input_if, packets)| FlowRecord {
+                packets,
+                ..record(input_if)
+            })
+            .collect();
         let datagram = Datagram::new(0, 0, &records);
         intake.push_payload(&datagram.encode());
         let mut out = Vec::new();
         intake.pop_round(16, &mut out);
-        let mut shape: Vec<(u16, usize)> =
-            out.iter().map(|b| (b.ingress.0, b.records.len())).collect();
-        shape.sort_unstable();
-        assert_eq!(shape, vec![(1, 1), (1, 2), (2, 2)]);
-        assert_eq!(intake.metrics().snapshot().flows, 5);
+        // One batch per ingress in first-appearance order (ring 1, then
+        // ring 0, but `pop_round` starts at ring 0), arrival order within.
+        let shape: Vec<(u16, Vec<u32>)> = out
+            .iter()
+            .map(|b| (b.ingress.0, b.records.iter().map(|r| r.packets).collect()))
+            .collect();
+        assert_eq!(shape, [(2, vec![2, 3]), (1, vec![0, 1, 4])]);
+        assert!(out
+            .iter()
+            .all(|b| b.records.input_ifs().iter().all(|&i| i == b.ingress.0)));
+        let snap = intake.metrics().snapshot();
+        assert_eq!((snap.datagrams, snap.flows), (1, 5));
+    }
+
+    #[test]
+    fn alternating_ingresses_cost_two_batches_not_thirty() {
+        let intake = intake(2, 8);
+        let records: Vec<FlowRecord> = (0..30).map(|i| record(1 + i % 2)).collect();
+        intake.push_payload(&Datagram::new(0, 0, &records).encode());
+        let mut out = Vec::new();
+        intake.pop_round(64, &mut out);
+        let shape: Vec<(u16, usize)> = out.iter().map(|b| (b.ingress.0, b.records.len())).collect();
+        assert_eq!(shape, [(2, 15), (1, 15)]);
+        assert_eq!(intake.metrics().snapshot().shed_flows, 0);
+    }
+
+    #[test]
+    fn a_one_ingress_datagram_is_handed_over_and_the_scratch_stays_usable() {
+        let intake = intake(1, 8);
+        let first: Vec<FlowRecord> = (0..3).map(|_| record(7)).collect();
+        let second = [record(9)];
+        let mut scratch = FlowBatch::new();
+        intake.push_payload_stamped(&Datagram::new(0, 0, &first).encode(), &mut scratch, 1, 2);
+        assert!(scratch.is_empty(), "the decoded rows left with the batch");
+        intake.push_payload_stamped(&Datagram::new(3, 0, &second).encode(), &mut scratch, 3, 4);
+        assert!(scratch.is_empty());
+        // A malformed payload and an empty datagram enqueue nothing.
+        intake.push_payload_stamped(&[0u8; 10], &mut scratch, 5, 6);
+        intake.push_payload_stamped(&Datagram::new(4, 0, &[]).encode(), &mut scratch, 7, 8);
+        let mut out = Vec::new();
+        intake.pop_round(16, &mut out);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].ingress, PeerId(7));
+        assert_eq!(out[0].records.iter().collect::<Vec<_>>(), first);
+        assert_eq!(out[1].ingress, PeerId(9));
+        assert_eq!(out[1].records.iter().collect::<Vec<_>>(), second);
+        let stamps = out[0].trace;
+        assert_eq!((stamps.recv_start_ns, stamps.recv_end_ns), (1, 2));
+        assert_eq!(stamps.enqueued_ns, stamps.decoded_ns, "one clock read");
+        assert_ne!(stamps.enqueued_ns, 0);
+    }
+
+    #[test]
+    fn a_recycled_batch_comes_back_empty_as_the_next_scratch() {
+        let intake = intake(1, 8);
+        let mut spent: FlowBatch = (0..4).map(|_| record(1)).collect();
+        spent.extend_from_records(&[record(2)]);
+        intake.recycle(spent);
+        let mut scratch = FlowBatch::new();
+        intake.push_payload_stamped(
+            &Datagram::new(0, 0, &[record(1)]).encode(),
+            &mut scratch,
+            0,
+            0,
+        );
+        assert!(scratch.is_empty(), "recycling clears");
+    }
+
+    #[test]
+    fn only_the_first_batch_of_a_split_datagram_carries_the_trace_id() {
+        let metrics = Arc::new(IngestMetrics::default());
+        // Sample every datagram.
+        let tracer = Arc::new(Tracer::new(1, 8));
+        let intake = Intake::with_observers(4, 8, metrics, tracer, Arc::new(Journal::new(0)));
+        let records = [record(1), record(2), record(1), record(3)];
+        let mut scratch = FlowBatch::new();
+        intake.push_payload_stamped(
+            &Datagram::new(0, 0, &records).encode(),
+            &mut scratch,
+            10,
+            20,
+        );
+        let mut out = Vec::new();
+        intake.pop_round(16, &mut out);
+        out.sort_by_key(|b| b.ingress.0);
+        let ids: Vec<u64> = out.iter().map(|b| b.trace.trace_id).collect();
+        assert_ne!(ids[0], 0, "the first ingress seen carries the trace");
+        assert_eq!(ids[1..], [0, 0]);
+        assert_eq!(out[0].trace.recv_end_ns, 20);
+        assert_eq!(out[1].trace.recv_end_ns, 0);
+        // Every batch has the enqueue stamp: queue wait is measured for all.
+        assert!(out
+            .iter()
+            .all(|b| b.trace.enqueued_ns == out[0].trace.enqueued_ns));
+        assert_ne!(out[0].trace.enqueued_ns, 0);
     }
 
     #[test]
@@ -367,5 +516,6 @@ mod tests {
         let snap = intake.metrics().snapshot();
         assert_eq!(snap.shed_batches, 1);
         assert_eq!(snap.shed_flows, 4);
+        assert_eq!(intake.spares.len(), 1, "the shed batch went back");
     }
 }

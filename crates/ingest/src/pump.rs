@@ -146,19 +146,19 @@ impl<E: Engine> IngestPump<E> {
             self.intake.tracer().force_next();
         }
         let effort = self.ladder.effort();
-        self.scratch.clear();
         self.intake.pop_round(self.batch_budget, &mut self.scratch);
         let mut processed = 0;
-        let batches = std::mem::take(&mut self.scratch);
+        let quiet = self.scratch.len() as u64;
         // One dequeue stamp covers the whole round: ring wait is dominated
         // by time *in* the ring, not by the worker's position in this loop.
-        let dequeued_ns = if batches.is_empty() { 0 } else { now_ns() };
-        for batch in &batches {
+        let dequeued_ns = if self.scratch.is_empty() { 0 } else { now_ns() };
+        for batch in self.scratch.drain(..) {
             let wait_ns = dequeued_ns.saturating_sub(batch.trace.enqueued_ns);
-            self.metrics()
+            self.intake
+                .metrics()
                 .record_queue_wait(wait_ns, batch.trace.trace_id);
             if batch.trace.trace_id != 0 {
-                self.replay_listener_spans(&batch.trace, dequeued_ns);
+                Self::replay_listener_spans(&batch.trace, dequeued_ns);
             }
             self.verdicts.clear();
             self.engine.process_flow_batch_into(
@@ -171,9 +171,9 @@ impl<E: Engine> IngestPump<E> {
                 trace::finish(self.intake.tracer().collector());
             }
             processed += batch.records.len();
+            // Back to the listeners, which decode the next datagram into it.
+            self.intake.recycle(batch.records);
         }
-        let quiet = batches.len() as u64;
-        self.scratch = batches;
         if processed > 0 {
             self.metrics().record_processed(effort, processed as u64);
             if self.spool_alerts() == 0 {
@@ -321,7 +321,7 @@ impl<E: Engine> IngestPump<E> {
     /// spans (recv, decode, ring queue wait) from the stamps it carried, so
     /// the engine spans the upcoming batch call emits land under the same
     /// trace id.
-    fn replay_listener_spans(&self, stamps: &crate::intake::BatchTrace, dequeued_ns: u64) {
+    fn replay_listener_spans(stamps: &crate::intake::BatchTrace, dequeued_ns: u64) {
         trace::begin(stamps.trace_id);
         if stamps.recv_end_ns >= stamps.recv_start_ns && stamps.recv_end_ns != 0 {
             trace::record("recv", stamps.recv_start_ns, stamps.recv_end_ns);

@@ -1,23 +1,31 @@
-//! Struct-of-arrays flow batches: the column-oriented twin of
-//! [`Datagram`](crate::Datagram)'s record vector, built for the hot
-//! decode → classify path.
+//! Flow batches for the hot decode → classify path: the two columns
+//! something scans, plus the records as the wire delivered them.
 //!
-//! A [`FlowBatch`] stores each NetFlow v5 record field in its own column,
-//! so the EIA stage can scan the source-address column without dragging
-//! the other 44 bytes of every record through cache, and a reused batch
-//! decodes datagram after datagram with zero per-packet allocation once
-//! the columns have grown to datagram size.
+//! A [`FlowBatch`] keeps the source addresses and the input interfaces of
+//! its records as two dense columns — the EIA stage keys its lookups on
+//! the first, the intake splits datagrams per ingress on the second — and
+//! everything else as the 48-byte wire rows, copied once and decoded to a
+//! [`FlowRecord`] only for the rows somebody asks for (suspects and
+//! sampled telemetry; one flow in a hundred under a legal load). Nothing
+//! reads the other sixteen fields as columns, so they are not transposed:
+//! decoding a datagram is one validated pass and three appends, a batch is
+//! three `Vec`s, and a batch built `with_capacity(MAX_RECORDS_PER_DATAGRAM)`
+//! decodes any datagram, any number of times, without touching the
+//! allocator.
 
 use std::net::Ipv4Addr;
 use std::ops::Range;
 
-use bytes::Buf;
-
-use crate::wire::{DecodeError, Header, HEADER_LEN, MAX_RECORDS_PER_DATAGRAM, RECORD_LEN, VERSION};
+use crate::wire::{
+    canonical_row, decode_record, encode_record, row_input_if, row_src_addr, DecodeError, Header,
+    Row,
+};
 use crate::FlowRecord;
 
-/// A batch of NetFlow v5 flow records in struct-of-arrays layout: one
-/// parallel column per record field, indexed 0..`len()`.
+/// A batch of NetFlow v5 flow records, indexed 0..`len()`: a
+/// source-address column, an input-interface column, and each record's
+/// canonical wire row (pad bytes zeroed, so batches compare equal exactly
+/// when their records do).
 ///
 /// # Examples
 ///
@@ -40,23 +48,8 @@ use crate::FlowRecord;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlowBatch {
     src_addr: Vec<u32>,
-    dst_addr: Vec<u32>,
-    next_hop: Vec<u32>,
     input_if: Vec<u16>,
-    output_if: Vec<u16>,
-    packets: Vec<u32>,
-    octets: Vec<u32>,
-    first_ms: Vec<u32>,
-    last_ms: Vec<u32>,
-    src_port: Vec<u16>,
-    dst_port: Vec<u16>,
-    tcp_flags: Vec<u8>,
-    protocol: Vec<u8>,
-    tos: Vec<u8>,
-    src_as: Vec<u16>,
-    dst_as: Vec<u16>,
-    src_mask: Vec<u8>,
-    dst_mask: Vec<u8>,
+    rows: Vec<Row>,
 }
 
 impl FlowBatch {
@@ -65,83 +58,38 @@ impl FlowBatch {
         FlowBatch::default()
     }
 
-    /// Creates an empty batch with every column sized for `flows` records.
+    /// Creates an empty batch sized for `flows` records.
     /// `with_capacity(MAX_RECORDS_PER_DATAGRAM)` fits any single datagram.
     pub fn with_capacity(flows: usize) -> FlowBatch {
         FlowBatch {
             src_addr: Vec::with_capacity(flows),
-            dst_addr: Vec::with_capacity(flows),
-            next_hop: Vec::with_capacity(flows),
             input_if: Vec::with_capacity(flows),
-            output_if: Vec::with_capacity(flows),
-            packets: Vec::with_capacity(flows),
-            octets: Vec::with_capacity(flows),
-            first_ms: Vec::with_capacity(flows),
-            last_ms: Vec::with_capacity(flows),
-            src_port: Vec::with_capacity(flows),
-            dst_port: Vec::with_capacity(flows),
-            tcp_flags: Vec::with_capacity(flows),
-            protocol: Vec::with_capacity(flows),
-            tos: Vec::with_capacity(flows),
-            src_as: Vec::with_capacity(flows),
-            dst_as: Vec::with_capacity(flows),
-            src_mask: Vec::with_capacity(flows),
-            dst_mask: Vec::with_capacity(flows),
+            rows: Vec::with_capacity(flows),
         }
     }
 
     /// Number of flows in the batch.
     pub fn len(&self) -> usize {
-        self.src_addr.len()
+        self.rows.len()
     }
 
     /// Whether the batch holds no flows.
     pub fn is_empty(&self) -> bool {
-        self.src_addr.is_empty()
+        self.rows.is_empty()
     }
 
-    /// Empties every column, keeping their capacity for reuse.
+    /// Empties the batch, keeping its capacity for reuse.
     pub fn clear(&mut self) {
         self.src_addr.clear();
-        self.dst_addr.clear();
-        self.next_hop.clear();
         self.input_if.clear();
-        self.output_if.clear();
-        self.packets.clear();
-        self.octets.clear();
-        self.first_ms.clear();
-        self.last_ms.clear();
-        self.src_port.clear();
-        self.dst_port.clear();
-        self.tcp_flags.clear();
-        self.protocol.clear();
-        self.tos.clear();
-        self.src_as.clear();
-        self.dst_as.clear();
-        self.src_mask.clear();
-        self.dst_mask.clear();
+        self.rows.clear();
     }
 
-    /// Appends one record, splitting it across the columns.
+    /// Appends one record.
     pub fn push_record(&mut self, r: &FlowRecord) {
         self.src_addr.push(r.src_addr.into());
-        self.dst_addr.push(r.dst_addr.into());
-        self.next_hop.push(r.next_hop.into());
         self.input_if.push(r.input_if);
-        self.output_if.push(r.output_if);
-        self.packets.push(r.packets);
-        self.octets.push(r.octets);
-        self.first_ms.push(r.first_ms);
-        self.last_ms.push(r.last_ms);
-        self.src_port.push(r.src_port);
-        self.dst_port.push(r.dst_port);
-        self.tcp_flags.push(r.tcp_flags);
-        self.protocol.push(r.protocol);
-        self.tos.push(r.tos);
-        self.src_as.push(r.src_as);
-        self.dst_as.push(r.dst_as);
-        self.src_mask.push(r.src_mask);
-        self.dst_mask.push(r.dst_mask);
+        self.rows.push(encode_record(r));
     }
 
     /// Appends a slice of records.
@@ -151,9 +99,9 @@ impl FlowBatch {
         }
     }
 
-    /// Appends the row range `rows` of `other` to this batch — the
-    /// column-wise splice the intake uses to split a datagram into
-    /// per-ingress runs without round-tripping through [`FlowRecord`]s.
+    /// Appends the row range `rows` of `other` to this batch — the splice
+    /// the intake uses to split a datagram per ingress without
+    /// round-tripping through [`FlowRecord`]s.
     ///
     /// # Panics
     ///
@@ -161,66 +109,23 @@ impl FlowBatch {
     pub fn extend_from(&mut self, other: &FlowBatch, rows: Range<usize>) {
         self.src_addr
             .extend_from_slice(&other.src_addr[rows.clone()]);
-        self.dst_addr
-            .extend_from_slice(&other.dst_addr[rows.clone()]);
-        self.next_hop
-            .extend_from_slice(&other.next_hop[rows.clone()]);
         self.input_if
             .extend_from_slice(&other.input_if[rows.clone()]);
-        self.output_if
-            .extend_from_slice(&other.output_if[rows.clone()]);
-        self.packets.extend_from_slice(&other.packets[rows.clone()]);
-        self.octets.extend_from_slice(&other.octets[rows.clone()]);
-        self.first_ms
-            .extend_from_slice(&other.first_ms[rows.clone()]);
-        self.last_ms.extend_from_slice(&other.last_ms[rows.clone()]);
-        self.src_port
-            .extend_from_slice(&other.src_port[rows.clone()]);
-        self.dst_port
-            .extend_from_slice(&other.dst_port[rows.clone()]);
-        self.tcp_flags
-            .extend_from_slice(&other.tcp_flags[rows.clone()]);
-        self.protocol
-            .extend_from_slice(&other.protocol[rows.clone()]);
-        self.tos.extend_from_slice(&other.tos[rows.clone()]);
-        self.src_as.extend_from_slice(&other.src_as[rows.clone()]);
-        self.dst_as.extend_from_slice(&other.dst_as[rows.clone()]);
-        self.src_mask
-            .extend_from_slice(&other.src_mask[rows.clone()]);
-        self.dst_mask.extend_from_slice(&other.dst_mask[rows]);
+        self.rows.extend_from_slice(&other.rows[rows]);
     }
 
-    /// Reassembles row `i` as an owned [`FlowRecord`].
+    /// Decodes row `i` to an owned [`FlowRecord`].
     ///
     /// # Panics
     ///
     /// Panics if `i >= len()`.
     pub fn record(&self, i: usize) -> FlowRecord {
-        FlowRecord {
-            src_addr: Ipv4Addr::from(self.src_addr[i]),
-            dst_addr: Ipv4Addr::from(self.dst_addr[i]),
-            next_hop: Ipv4Addr::from(self.next_hop[i]),
-            input_if: self.input_if[i],
-            output_if: self.output_if[i],
-            packets: self.packets[i],
-            octets: self.octets[i],
-            first_ms: self.first_ms[i],
-            last_ms: self.last_ms[i],
-            src_port: self.src_port[i],
-            dst_port: self.dst_port[i],
-            tcp_flags: self.tcp_flags[i],
-            protocol: self.protocol[i],
-            tos: self.tos[i],
-            src_as: self.src_as[i],
-            dst_as: self.dst_as[i],
-            src_mask: self.src_mask[i],
-            dst_mask: self.dst_mask[i],
-        }
+        decode_record(&self.rows[i])
     }
 
     /// Iterates the rows as owned [`FlowRecord`]s.
     pub fn iter(&self) -> impl Iterator<Item = FlowRecord> + '_ {
-        (0..self.len()).map(|i| self.record(i))
+        self.rows.iter().map(decode_record)
     }
 
     /// The source-address column as raw big-endian-decoded `u32` bits —
@@ -229,7 +134,7 @@ impl FlowBatch {
         &self.src_addr
     }
 
-    /// The input-interface column, used to split per-ingress runs.
+    /// The input-interface column, used to split a datagram per ingress.
     pub fn input_ifs(&self) -> &[u16] {
         &self.input_if
     }
@@ -248,61 +153,11 @@ impl FlowBatch {
     ///
     /// Returns [`DecodeError`] on a short buffer, wrong version, or a
     /// record count that disagrees with the payload length.
-    pub fn decode_datagram(&mut self, mut buf: &[u8]) -> Result<Header, DecodeError> {
-        if buf.len() < HEADER_LEN {
-            return Err(DecodeError::Truncated {
-                need: HEADER_LEN,
-                have: buf.len(),
-            });
-        }
-        let version = buf.get_u16();
-        if version != VERSION {
-            return Err(DecodeError::WrongVersion(version));
-        }
-        let count = buf.get_u16();
-        if count as usize > MAX_RECORDS_PER_DATAGRAM {
-            return Err(DecodeError::BadCount(count));
-        }
-        let header = Header {
-            version,
-            count,
-            sys_uptime_ms: buf.get_u32(),
-            unix_secs: buf.get_u32(),
-            unix_nsecs: buf.get_u32(),
-            flow_sequence: buf.get_u32(),
-            engine_type: buf.get_u8(),
-            engine_id: buf.get_u8(),
-            sampling_interval: buf.get_u16(),
-        };
-        let need = count as usize * RECORD_LEN;
-        if buf.len() < need {
-            return Err(DecodeError::Truncated {
-                need: HEADER_LEN + need,
-                have: HEADER_LEN + buf.len(),
-            });
-        }
-        for _ in 0..count {
-            self.src_addr.push(buf.get_u32());
-            self.dst_addr.push(buf.get_u32());
-            self.next_hop.push(buf.get_u32());
-            self.input_if.push(buf.get_u16());
-            self.output_if.push(buf.get_u16());
-            self.packets.push(buf.get_u32());
-            self.octets.push(buf.get_u32());
-            self.first_ms.push(buf.get_u32());
-            self.last_ms.push(buf.get_u32());
-            self.src_port.push(buf.get_u16());
-            self.dst_port.push(buf.get_u16());
-            let _pad1 = buf.get_u8();
-            self.tcp_flags.push(buf.get_u8());
-            self.protocol.push(buf.get_u8());
-            self.tos.push(buf.get_u8());
-            self.src_as.push(buf.get_u16());
-            self.dst_as.push(buf.get_u16());
-            self.src_mask.push(buf.get_u8());
-            self.dst_mask.push(buf.get_u8());
-            let _pad2 = buf.get_u16();
-        }
+    pub fn decode_datagram(&mut self, buf: &[u8]) -> Result<Header, DecodeError> {
+        let (header, rows) = Header::split(buf)?;
+        self.src_addr.extend(rows.iter().map(row_src_addr));
+        self.input_if.extend(rows.iter().map(row_input_if));
+        self.rows.extend(rows.iter().map(|row| canonical_row(*row)));
         Ok(header)
     }
 }
@@ -320,7 +175,7 @@ impl FromIterator<FlowRecord> for FlowBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Datagram;
+    use crate::{Datagram, MAX_RECORDS_PER_DATAGRAM};
 
     fn sample_record(i: u32) -> FlowRecord {
         FlowRecord {

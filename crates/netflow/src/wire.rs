@@ -10,9 +10,9 @@ use crate::FlowRecord;
 /// full datagram is 24 + 30 × 48 = 1464 bytes, fitting a 1500-byte MTU).
 pub const MAX_RECORDS_PER_DATAGRAM: usize = 30;
 
-pub(crate) const HEADER_LEN: usize = 24;
-pub(crate) const RECORD_LEN: usize = 48;
-pub(crate) const VERSION: u16 = 5;
+const HEADER_LEN: usize = 24;
+const RECORD_LEN: usize = 48;
+const VERSION: u16 = 5;
 
 /// The 24-byte NetFlow v5 datagram header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -89,26 +89,7 @@ impl Datagram {
         buf.put_u8(h.engine_id);
         buf.put_u16(h.sampling_interval);
         for r in &self.records {
-            buf.put_u32(r.src_addr.into());
-            buf.put_u32(r.dst_addr.into());
-            buf.put_u32(r.next_hop.into());
-            buf.put_u16(r.input_if);
-            buf.put_u16(r.output_if);
-            buf.put_u32(r.packets);
-            buf.put_u32(r.octets);
-            buf.put_u32(r.first_ms);
-            buf.put_u32(r.last_ms);
-            buf.put_u16(r.src_port);
-            buf.put_u16(r.dst_port);
-            buf.put_u8(0); // pad1
-            buf.put_u8(r.tcp_flags);
-            buf.put_u8(r.protocol);
-            buf.put_u8(r.tos);
-            buf.put_u16(r.src_as);
-            buf.put_u16(r.dst_as);
-            buf.put_u8(r.src_mask);
-            buf.put_u8(r.dst_mask);
-            buf.put_u16(0); // pad2
+            buf.put_slice(&encode_record(r));
         }
         buf.freeze()
     }
@@ -119,7 +100,22 @@ impl Datagram {
     ///
     /// Returns [`DecodeError`] on a short buffer, wrong version, or a record
     /// count that disagrees with the payload length.
-    pub fn decode(mut buf: &[u8]) -> Result<Datagram, DecodeError> {
+    pub fn decode(buf: &[u8]) -> Result<Datagram, DecodeError> {
+        let (header, rows) = Header::split(buf)?;
+        Ok(Datagram {
+            header,
+            records: rows.iter().map(decode_record).collect(),
+        })
+    }
+}
+
+impl Header {
+    /// Checks and parses the header at the front of `buf` and returns it
+    /// with the `count` record rows that follow it — the one place a v5
+    /// datagram is validated, shared by [`Datagram::decode`] and
+    /// [`FlowBatch::decode_datagram`](crate::FlowBatch::decode_datagram).
+    /// Bytes past the last counted record are ignored.
+    pub(crate) fn split(mut buf: &[u8]) -> Result<(Header, &[Row]), DecodeError> {
         if buf.len() < HEADER_LEN {
             return Err(DecodeError::Truncated {
                 need: HEADER_LEN,
@@ -152,50 +148,116 @@ impl Datagram {
                 have: HEADER_LEN + buf.len(),
             });
         }
-        let mut records = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let src_addr = Ipv4Addr::from(buf.get_u32());
-            let dst_addr = Ipv4Addr::from(buf.get_u32());
-            let next_hop = Ipv4Addr::from(buf.get_u32());
-            let input_if = buf.get_u16();
-            let output_if = buf.get_u16();
-            let packets = buf.get_u32();
-            let octets = buf.get_u32();
-            let first_ms = buf.get_u32();
-            let last_ms = buf.get_u32();
-            let src_port = buf.get_u16();
-            let dst_port = buf.get_u16();
-            let _pad1 = buf.get_u8();
-            let tcp_flags = buf.get_u8();
-            let protocol = buf.get_u8();
-            let tos = buf.get_u8();
-            let src_as = buf.get_u16();
-            let dst_as = buf.get_u16();
-            let src_mask = buf.get_u8();
-            let dst_mask = buf.get_u8();
-            let _pad2 = buf.get_u16();
-            records.push(FlowRecord {
-                src_addr,
-                dst_addr,
-                next_hop,
-                input_if,
-                output_if,
-                packets,
-                octets,
-                first_ms,
-                last_ms,
-                src_port,
-                dst_port,
-                tcp_flags,
-                protocol,
-                tos,
-                src_as,
-                dst_as,
-                src_mask,
-                dst_mask,
-            });
-        }
-        Ok(Datagram { header, records })
+        let (rows, _) = buf[..need].as_chunks::<RECORD_LEN>();
+        Ok((header, rows))
+    }
+}
+
+/// One v5 flow record as it sits on the wire: 48 bytes, network byte order.
+pub(crate) type Row = [u8; RECORD_LEN];
+
+// Byte offsets of the record fields within a [`Row`]; `PAD1` (one byte) and
+// `PAD2` (two) carry nothing.
+const SRC_ADDR: usize = 0;
+const DST_ADDR: usize = 4;
+const NEXT_HOP: usize = 8;
+const INPUT_IF: usize = 12;
+const OUTPUT_IF: usize = 14;
+const PACKETS: usize = 16;
+const OCTETS: usize = 20;
+const FIRST_MS: usize = 24;
+const LAST_MS: usize = 28;
+const SRC_PORT: usize = 32;
+const DST_PORT: usize = 34;
+const PAD1: usize = 36;
+const TCP_FLAGS: usize = 37;
+const PROTOCOL: usize = 38;
+const TOS: usize = 39;
+const SRC_AS: usize = 40;
+const DST_AS: usize = 42;
+const SRC_MASK: usize = 44;
+const DST_MASK: usize = 45;
+const PAD2: usize = 46;
+
+fn be16(row: &Row, at: usize) -> u16 {
+    u16::from_be_bytes([row[at], row[at + 1]])
+}
+
+fn be32(row: &Row, at: usize) -> u32 {
+    u32::from_be_bytes([row[at], row[at + 1], row[at + 2], row[at + 3]])
+}
+
+fn put16(row: &mut Row, at: usize, value: u16) {
+    row[at..at + 2].copy_from_slice(&value.to_be_bytes());
+}
+
+fn put32(row: &mut Row, at: usize, value: u32) {
+    row[at..at + 4].copy_from_slice(&value.to_be_bytes());
+}
+
+/// The source address of a wire record, as the bits the EIA table keys on.
+pub(crate) fn row_src_addr(row: &Row) -> u32 {
+    be32(row, SRC_ADDR)
+}
+
+/// The SNMP input interface of a wire record.
+pub(crate) fn row_input_if(row: &Row) -> u16 {
+    be16(row, INPUT_IF)
+}
+
+/// `row` with its pad bytes zeroed, so two rows are equal exactly when the
+/// records they carry are: an exporter may leave anything in the padding.
+pub(crate) fn canonical_row(mut row: Row) -> Row {
+    row[PAD1] = 0;
+    row[PAD2..].fill(0);
+    row
+}
+
+/// The record codec, encode half: the canonical wire row of `r`.
+pub(crate) fn encode_record(r: &FlowRecord) -> Row {
+    let mut row = [0u8; RECORD_LEN];
+    put32(&mut row, SRC_ADDR, r.src_addr.into());
+    put32(&mut row, DST_ADDR, r.dst_addr.into());
+    put32(&mut row, NEXT_HOP, r.next_hop.into());
+    put16(&mut row, INPUT_IF, r.input_if);
+    put16(&mut row, OUTPUT_IF, r.output_if);
+    put32(&mut row, PACKETS, r.packets);
+    put32(&mut row, OCTETS, r.octets);
+    put32(&mut row, FIRST_MS, r.first_ms);
+    put32(&mut row, LAST_MS, r.last_ms);
+    put16(&mut row, SRC_PORT, r.src_port);
+    put16(&mut row, DST_PORT, r.dst_port);
+    row[TCP_FLAGS] = r.tcp_flags;
+    row[PROTOCOL] = r.protocol;
+    row[TOS] = r.tos;
+    put16(&mut row, SRC_AS, r.src_as);
+    put16(&mut row, DST_AS, r.dst_as);
+    row[SRC_MASK] = r.src_mask;
+    row[DST_MASK] = r.dst_mask;
+    row
+}
+
+/// The record codec, decode half; the pad bytes are not read.
+pub(crate) fn decode_record(row: &Row) -> FlowRecord {
+    FlowRecord {
+        src_addr: Ipv4Addr::from(be32(row, SRC_ADDR)),
+        dst_addr: Ipv4Addr::from(be32(row, DST_ADDR)),
+        next_hop: Ipv4Addr::from(be32(row, NEXT_HOP)),
+        input_if: be16(row, INPUT_IF),
+        output_if: be16(row, OUTPUT_IF),
+        packets: be32(row, PACKETS),
+        octets: be32(row, OCTETS),
+        first_ms: be32(row, FIRST_MS),
+        last_ms: be32(row, LAST_MS),
+        src_port: be16(row, SRC_PORT),
+        dst_port: be16(row, DST_PORT),
+        tcp_flags: row[TCP_FLAGS],
+        protocol: row[PROTOCOL],
+        tos: row[TOS],
+        src_as: be16(row, SRC_AS),
+        dst_as: be16(row, DST_AS),
+        src_mask: row[SRC_MASK],
+        dst_mask: row[DST_MASK],
     }
 }
 

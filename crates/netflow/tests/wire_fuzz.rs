@@ -1,8 +1,11 @@
 //! Wire-codec fuzz suite: the decoder must never panic on hostile input
-//! (the collector feeds it raw UDP payloads), and valid datagrams must
-//! round-trip byte-accurately through encode/decode.
+//! (the collector feeds it raw UDP payloads), valid datagrams must
+//! round-trip byte-accurately through encode/decode, and the two decoders
+//! — [`Datagram::decode`] into records, [`FlowBatch::decode_datagram`] into
+//! columns and wire rows — must be one codec: same verdict on every input,
+//! same records out.
 
-use infilter_netflow::{Datagram, DecodeError, FlowRecord, MAX_RECORDS_PER_DATAGRAM};
+use infilter_netflow::{Datagram, DecodeError, FlowBatch, FlowRecord, MAX_RECORDS_PER_DATAGRAM};
 use proptest::prelude::*;
 
 /// A record with every field drawn from its full range — the encoder must
@@ -71,7 +74,110 @@ fn arb_datagram() -> impl Strategy<Value = Datagram> {
         .prop_map(|(seq, uptime, records)| Datagram::new(seq, uptime, &records))
 }
 
+/// Bytes off a hostile wire: pure noise, or a valid datagram with junk
+/// behind it, cut short, or with its version or count overwritten.
+fn arb_wire() -> impl Strategy<Value = Vec<u8>> {
+    (
+        arb_datagram(),
+        proptest::collection::vec(any::<u8>(), 0..200),
+        0u8..4,
+        any::<prop::sample::Index>(),
+        any::<prop::sample::Index>(),
+        any::<u8>(),
+    )
+        .prop_map(|(datagram, junk, kind, cut, at, value)| {
+            let mut bytes = datagram.encode().to_vec();
+            bytes.extend_from_slice(&junk);
+            match kind {
+                0 => return junk,
+                1 => {}
+                2 => bytes.truncate(cut.index(bytes.len())),
+                _ => bytes[at.index(4)] = value,
+            }
+            bytes
+        })
+}
+
+/// Offsets of the three pad bytes within a 48-byte v5 record.
+const PAD_OFFSETS: [usize; 3] = [36, 46, 47];
+
 proptest! {
+    /// On arbitrary bytes the two decoders agree on `Ok`/`Err`, on the
+    /// error, on the header and on every record — and a decode that fails
+    /// leaves the batch exactly as it was.
+    #[test]
+    fn batch_and_datagram_decoders_agree(bytes in arb_wire(), held in arb_record()) {
+        let mut batch: FlowBatch = std::iter::once(held).collect();
+        let before = batch.clone();
+        match (batch.decode_datagram(&bytes), Datagram::decode(&bytes)) {
+            (Ok(header), Ok(datagram)) => {
+                prop_assert_eq!(header, datagram.header);
+                prop_assert_eq!(batch.len(), 1 + datagram.records.len());
+                prop_assert_eq!(batch.record(0), held);
+                for (i, record) in datagram.records.iter().enumerate() {
+                    prop_assert_eq!(batch.record(1 + i), *record);
+                    prop_assert_eq!(batch.src_addr(1 + i), record.src_addr);
+                    prop_assert_eq!(batch.src_addr_bits()[1 + i], u32::from(record.src_addr));
+                    prop_assert_eq!(batch.input_ifs()[1 + i], record.input_if);
+                }
+            }
+            (Err(from_batch), Err(from_datagram)) => {
+                prop_assert_eq!(from_batch, from_datagram);
+                prop_assert_eq!(&batch, &before, "a failed decode appended rows");
+            }
+            (a, b) => prop_assert!(false, "decoders disagree: {a:?} vs {:?}", b.map(|d| d.header)),
+        }
+    }
+
+    /// What an exporter leaves in the pad bytes is not part of a record:
+    /// it changes neither `record(i)` nor batch equality.
+    #[test]
+    fn pad_bytes_are_not_part_of_a_record(
+        datagram in arb_datagram(),
+        pads in proptest::collection::vec(any::<u8>(), 3 * MAX_RECORDS_PER_DATAGRAM),
+    ) {
+        let clean = datagram.encode().to_vec();
+        let mut dirty = clean.clone();
+        for (i, pad) in pads.iter().take(3 * datagram.records.len()).enumerate() {
+            dirty[24 + 48 * (i / 3) + PAD_OFFSETS[i % 3]] = *pad;
+        }
+        let mut from_clean = FlowBatch::new();
+        let mut from_dirty = FlowBatch::new();
+        from_clean.decode_datagram(&clean).expect("own encoding decodes");
+        from_dirty.decode_datagram(&dirty).expect("pad bytes are value-blind");
+        prop_assert_eq!(&from_dirty, &from_clean);
+        prop_assert_eq!(from_dirty.iter().collect::<Vec<_>>(), datagram.records.clone());
+        prop_assert_eq!(Datagram::decode(&dirty).expect("value-blind"), datagram);
+    }
+
+    /// Every way of filling a batch — record by record, from a slice, from
+    /// an iterator, spliced from another batch, decoded off the wire —
+    /// stores the same rows, and they read back as the records put in.
+    #[test]
+    fn batch_builders_round_trip_through_the_row_form(
+        records in proptest::collection::vec(arb_record(), 0..=MAX_RECORDS_PER_DATAGRAM),
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let collected: FlowBatch = records.iter().copied().collect();
+        let mut pushed = FlowBatch::with_capacity(records.len());
+        for record in &records {
+            pushed.push_record(record);
+        }
+        let mut extended = FlowBatch::new();
+        extended.extend_from_records(&records);
+        let mut decoded = FlowBatch::new();
+        decoded.decode_datagram(&Datagram::new(0, 0, &records).encode()).expect("decodes");
+        let cut = cut.index(records.len() + 1);
+        let mut spliced = FlowBatch::new();
+        spliced.extend_from(&collected, 0..cut);
+        spliced.extend_from(&collected, cut..records.len());
+        for batch in [&pushed, &extended, &decoded, &spliced] {
+            prop_assert_eq!(batch, &collected);
+        }
+        prop_assert_eq!(collected.len(), records.len());
+        prop_assert_eq!(collected.iter().collect::<Vec<_>>(), records);
+    }
+
     /// decode(encode(d)) reproduces `d` exactly, and re-encoding the
     /// decoded value reproduces the original bytes — the codec is a
     /// bijection on its image.
