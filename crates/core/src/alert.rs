@@ -5,9 +5,18 @@ use serde::{Deserialize, Serialize};
 
 use crate::{AttackStage, PeerId};
 
-/// An IDMEF-shaped alert emitted when a flow is flagged as an attack
+/// An IDMEF-shaped alert emitted when flows are flagged as an attack
 /// (§5.1.4). Rendered as IDMEF XML for consumer applications; the struct
 /// itself is what the alert UI and downstream traceback logic consume.
+///
+/// One alert is an *aggregate*: every flow the engine flags between two
+/// drains through the same ingress, at the same stage, against the same
+/// target folds into one message. `source`, `target`, `target_port`,
+/// `protocol`, `create_time_ms` and the detail inside `stage` describe the
+/// first such flow; `count` says how many there were and `last_time_ms`
+/// when the latest of them ended. Consumers that want attack *traffic*
+/// sum `count`; the number of messages only says how many distinct
+/// targets were hit.
 ///
 /// The `ingress` field is the paper's promised traceback hook: the alert
 /// names the Peer AS / BR the attack entered through.
@@ -28,9 +37,10 @@ use crate::{AttackStage, PeerId};
 pub struct IdmefAlert {
     /// Monotonic alert identifier.
     pub message_id: u64,
-    /// Flow end time (exporter sysUptime ms) used as the create time.
+    /// End time of the first flagged flow (exporter sysUptime ms), used as
+    /// the create time.
     pub create_time_ms: u32,
-    /// Source address of the offending flow.
+    /// Source address of the first offending flow.
     pub source: Ipv4Addr,
     /// Destination (victim) address.
     pub target: Ipv4Addr,
@@ -42,10 +52,22 @@ pub struct IdmefAlert {
     pub ingress: PeerId,
     /// Which detection stage fired.
     pub stage: AttackStage,
+    /// Flows this alert stands for (at least 1).
+    #[serde(default = "one_flow")]
+    pub count: u32,
+    /// Latest end time among those flows (exporter sysUptime ms). Alerts
+    /// serialised before the field existed read back as 0: use
+    /// `create_time_ms` when this is the smaller of the two.
+    #[serde(default)]
+    pub last_time_ms: u32,
+}
+
+fn one_flow() -> u32 {
+    1
 }
 
 impl IdmefAlert {
-    /// Builds an alert from the offending flow.
+    /// Builds an alert from the first offending flow.
     pub fn new(
         message_id: u64,
         flow: &FlowRecord,
@@ -61,6 +83,8 @@ impl IdmefAlert {
             protocol: flow.protocol,
             ingress,
             stage,
+            count: 1,
+            last_time_ms: flow.last_ms,
         }
     }
 
@@ -100,6 +124,8 @@ impl IdmefAlert {
     </idmef:Target>
     <idmef:Classification text="{class}" />
     <idmef:AdditionalData type="string" meaning="ingress-peer-as">{ingress}</idmef:AdditionalData>
+    <idmef:AdditionalData type="integer" meaning="flow-count">{count}</idmef:AdditionalData>
+    <idmef:AdditionalData type="integer" meaning="last-flow-time">{last}</idmef:AdditionalData>
   </idmef:Alert>
 </idmef:IDMEF-Message>
 "#,
@@ -111,6 +137,8 @@ impl IdmefAlert {
             proto = self.protocol,
             class = self.classification(),
             ingress = self.ingress,
+            count = self.count,
+            last = self.last_time_ms,
         )
     }
 }
@@ -199,6 +227,22 @@ impl IdmefAlert {
                 .parse()
                 .map_err(|_| bad("ingress id"))?,
         );
+        // Absent from XML an older collector wrote, where every alert was
+        // one flow.
+        let additional = |meaning: &str, absent: u32, what: &str| match extract(
+            xml,
+            meaning,
+            "</idmef:AdditionalData>",
+        ) {
+            Ok(text) => text.trim().parse().map_err(|_| bad(what)),
+            Err(_) => Ok(absent),
+        };
+        let count = additional("meaning=\"flow-count\">", 1, "flow count")?;
+        let last_time_ms = additional(
+            "meaning=\"last-flow-time\">",
+            create_time_ms,
+            "last flow time",
+        )?;
         let class_text = extract_attr(xml, "Classification text=\"")?;
         let stage = if class_text.contains("unexpected ingress") {
             AttackStage::EiaMismatch { expected: None }
@@ -230,6 +274,8 @@ impl IdmefAlert {
             protocol,
             ingress,
             stage,
+            count,
+            last_time_ms,
         })
     }
 }
@@ -268,6 +314,8 @@ mod tests {
             "<idmef:port>1434</idmef:port>",
             "PeerAS3",
             "network scan on port 1434",
+            "meaning=\"flow-count\">1<",
+            "meaning=\"last-flow-time\">5000<",
         ] {
             assert!(xml.contains(needle), "missing `{needle}` in:\n{xml}");
         }
@@ -301,8 +349,17 @@ mod tests {
             },
         ];
         for (i, stage) in stages.into_iter().enumerate() {
-            let alert = IdmefAlert::new(i as u64, &flow(), PeerId(4), stage);
+            // The aggregate of `i + 1` flows, the latest ending at 5400.
+            let alert = IdmefAlert {
+                count: i as u32 + 1,
+                last_time_ms: 5400,
+                ..IdmefAlert::new(i as u64, &flow(), PeerId(4), stage)
+            };
             let parsed = IdmefAlert::parse_xml(&alert.to_xml()).unwrap();
+            assert_eq!(
+                (parsed.count, parsed.last_time_ms),
+                (alert.count, alert.last_time_ms)
+            );
             assert_eq!(parsed.message_id, alert.message_id);
             assert_eq!(parsed.create_time_ms, alert.create_time_ms);
             assert_eq!(parsed.source, alert.source);
@@ -317,6 +374,36 @@ mod tests {
                 std::mem::discriminant(&alert.stage)
             );
         }
+    }
+
+    /// XML written before alerts carried a count has neither
+    /// `AdditionalData`: it reads back as one flow that ended at the
+    /// create time.
+    #[test]
+    fn xml_from_an_older_collector_still_parses() {
+        let alert = IdmefAlert {
+            count: 9,
+            last_time_ms: 7000,
+            ..IdmefAlert::new(
+                3,
+                &flow(),
+                PeerId(2),
+                AttackStage::EiaMismatch { expected: None },
+            )
+        };
+        let old: String = alert
+            .to_xml()
+            .lines()
+            .filter(|line| !line.contains("flow-count") && !line.contains("last-flow-time"))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        assert!(old.contains("ingress-peer-as") && !old.contains("7000"));
+        let parsed = IdmefAlert::parse_xml(&old).unwrap();
+        assert_eq!((parsed.count, parsed.last_time_ms), (1, 5000));
+        assert_eq!(parsed.ingress, PeerId(2));
+        // Present but unparsable is an error, not a silent default.
+        let mangled = alert.to_xml().replace(">9</idmef", ">nine</idmef");
+        assert!(IdmefAlert::parse_xml(&mangled).is_err());
     }
 
     #[test]

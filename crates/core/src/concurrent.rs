@@ -27,7 +27,11 @@
 //!   Readers take the cell's shared lock alone, for the length of one
 //!   `with`, and let go of it before the suspect path.
 //! * **Metrics** are relaxed [`AtomicU64`] counters with *sampled* latency
-//!   so `Instant::now()` stays off the per-flow path.
+//!   so `Instant::now()` stays off the per-flow path. A batch adds to them
+//!   once, after its last flow, not once per flow.
+//! * **Alerts** coalesce where they are queued: between two drains a shard
+//!   holds one [`IdmefAlert`] per `(ingress, stage, target)`, carrying a
+//!   count (DESIGN §11).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -36,6 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use infilter_net::FlatTable;
 use infilter_netflow::{FlowBatch, FlowRecord};
 use infilter_nns::BitVec;
 use infilter_telemetry::trace;
@@ -43,10 +48,9 @@ use parking_lot::Mutex;
 
 use crate::eia::{AdoptionLedger, EiaSnapshot};
 use crate::metrics::ConcurrentMetrics;
-use crate::observe::{JournalEvent, PipelineTelemetry, SuspectObservation};
+use crate::observe::{JournalEvent, PeerCounters, PipelineTelemetry, SuspectObservation};
 use crate::pipeline::{
     nns_stage, saturating_nanos, scan_stage, scan_verdict_stage, NnsMemo, SuspectOutcome,
-    SuspectRecord,
 };
 use crate::snapshot::SnapshotCell;
 use crate::{
@@ -62,7 +66,10 @@ pub struct ConcurrentConfig {
     /// `1` (what [`Analyzer`] runs) is the paper's scan semantics exactly:
     /// one buffer sees every suspect. Higher values trade a wider effective
     /// network-scan threshold (one port probed across many destinations
-    /// lands on many shards) for parallelism.
+    /// lands on many shards) for parallelism. Alerts coalesce per shard, so
+    /// a drain can hold up to this many alerts for a key whose flows differ
+    /// in destination (an EIA mismatch, a network scan), and its size is
+    /// bounded per shard.
     pub shards: usize,
     /// Record per-flow latency on every N-th flow (`0` disables latency
     /// recording; counters are always exact). The default of 64 keeps the
@@ -79,13 +86,26 @@ impl Default for ConcurrentConfig {
     }
 }
 
+/// Alert keys a shard tracks between two drains; flows past them join an
+/// overflow aggregate ([`ConcurrentAnalyzer::queue_alert`]). A constant:
+/// it bounds what a drain hands over, and 256 targets under attack at once
+/// through one shard is already more than an operator reads one by one,
+/// while the table behind it stays at 8 KB.
+const OPEN_ALERTS: usize = 256;
+
 /// Mutable suspect-path state owned by one shard.
 #[derive(Debug)]
 struct Shard {
     scan: ScanAnalyzer,
     /// Pending alerts, ascending by message id: ids are handed out under
-    /// this shard's lock ([`ConcurrentAnalyzer::queue_alert`]).
+    /// this shard's lock ([`ConcurrentAnalyzer::queue_alert`]). The first
+    /// `open.len()` are the keyed ones, overflow aggregates follow.
     alerts: VecDeque<IdmefAlert>,
+    /// [`alert_key`] → 1-based position in `alerts` of the alert that key
+    /// folds into until the next drain.
+    open: FlatTable,
+    /// EIA suspects routed here (`infilter_shard_suspects_total`).
+    suspects: u64,
 }
 
 fn new_shards(shards: usize, scan: crate::ScanConfig) -> Vec<Mutex<Shard>> {
@@ -95,9 +115,43 @@ fn new_shards(shards: usize, scan: crate::ScanConfig) -> Vec<Mutex<Shard>> {
             Mutex::new(Shard {
                 scan: ScanAnalyzer::new(scan),
                 alerts: VecDeque::new(),
+                open: FlatTable::new(OPEN_ALERTS),
+                suspects: 0,
             })
         })
         .collect()
+}
+
+/// What an alert aggregates over: `(ingress, stage kind, target)`, the
+/// target being what the stage singles out — the peer the source was
+/// expected at, the scanned port, the scanned host, the anomalous flow's
+/// destination (`dst_addr`, which an alert keeps as `target`).
+fn alert_key(ingress: PeerId, stage: &AttackStage, dst_addr: Ipv4Addr) -> u64 {
+    let (kind, target) = match *stage {
+        AttackStage::EiaMismatch { expected } => (0, expected.map_or(0, |p| u32::from(p.0) + 1)),
+        AttackStage::NetworkScan { dst_port, .. } => (1, u32::from(dst_port)),
+        AttackStage::HostScan { dst_addr, .. } => (2, u32::from(dst_addr)),
+        AttackStage::NnsAnomaly { .. } => (3, u32::from(dst_addr)),
+    };
+    (u64::from(ingress.0) << 34) | (kind << 32) | u64::from(target)
+}
+
+/// What the suspects of one call add to the shared counters, settled with
+/// one `fetch_add` per non-zero counter when the call ends
+/// ([`ConcurrentAnalyzer::settle`]). A call is one ingress, so one peer
+/// cell.
+#[derive(Default)]
+struct Tally {
+    /// The ingress's counter cell, looked up at the first suspect.
+    peer: Option<Arc<PeerCounters>>,
+    /// That cell's suspect count at the lookup: with `suspects`, the tick
+    /// the attack-shape sampler gates on.
+    seen_before: u64,
+    suspects: u64,
+    eia_attacks: u64,
+    scan_attacks: u64,
+    nns_attacks: u64,
+    forgiven: u64,
 }
 
 thread_local! {
@@ -249,15 +303,31 @@ impl ConcurrentAnalyzer {
         self.telemetry.explain_last(n)
     }
 
+    /// EIA suspects routed to each shard so far, in shard order (what
+    /// `infilter_shard_suspects_total` exposes): the skew shows whether
+    /// `(input_if, dst_addr)` routing balances the suspect load. Briefly
+    /// locks each shard.
+    pub fn shard_suspects(&self) -> Vec<u64> {
+        self.shards
+            .iter()
+            .map(|shard| shard.lock().suspects)
+            .collect()
+    }
+
     /// Renders the full metric set as one Prometheus text-format (0.0.4)
-    /// exposition page. Briefly locks each shard to read scan occupancy.
+    /// exposition page. Briefly locks each shard to read its scan
+    /// occupancy and suspect count.
     pub fn prometheus_text(&self) -> String {
-        let occupancy: Vec<(usize, usize)> = self
+        let shards: Vec<(usize, usize, u64)> = self
             .shards
             .iter()
             .map(|shard| {
                 let shard = shard.lock();
-                (shard.scan.buffered(), shard.scan.counter_entries())
+                (
+                    shard.scan.buffered(),
+                    shard.scan.counter_entries(),
+                    shard.suspects,
+                )
             })
             .collect();
         let table = self
@@ -267,7 +337,7 @@ impl ConcurrentAnalyzer {
         crate::observe::render_exposition(
             &self.metrics.snapshot(),
             &self.telemetry,
-            &occupancy,
+            &shards,
             table,
             sightings,
         )
@@ -291,19 +361,24 @@ impl ConcurrentAnalyzer {
         effort: Effort,
     ) -> Verdict {
         let n = self.metrics.flows.fetch_add(1, Ordering::Relaxed);
-        self.process_counted(n, ingress, flow, effort)
+        let mut tally = Tally::default();
+        let verdict = self.process_counted(n, ingress, flow, effort, &mut tally);
+        self.settle(tally);
+        verdict
     }
 
     /// The per-flow pipeline after the flow counter: `n` is this flow's
     /// global sequence number (what latency sampling and the flight
     /// recorder gate on). The batch path bulk-advances the counter and
     /// calls this only for flows that fall off its precomputed fast path.
+    /// A suspect lands in the caller's `tally`.
     fn process_counted(
         &self,
         n: u64,
         ingress: PeerId,
         flow: &FlowRecord,
         effort: Effort,
+        tally: &mut Tally,
     ) -> Verdict {
         let started = self.latency_sampled(n).then(Instant::now);
 
@@ -316,20 +391,42 @@ impl ConcurrentAnalyzer {
             .with(|snapshot| snapshot.classify(ingress, flow.src_addr));
         match eia_verdict {
             EiaVerdict::Match => {
-                ConcurrentMetrics::bump(&self.metrics.eia_match);
+                self.metrics.eia_match.fetch_add(1, Ordering::Relaxed);
                 self.legal(n, ingress, started.map(|s| s.elapsed()), || *flow)
             }
-            // Every per-flow suspect is recorded in full; only the batch
-            // loop samples (see `SuspectRecord`).
+            // Every per-flow suspect is observed in full; only the batch
+            // loop samples.
             EiaVerdict::Mismatch { expected } => self.suspect_path(
                 started,
                 ingress,
                 flow,
                 (expected, version),
                 effort,
-                SuspectRecord::Full,
+                true,
+                tally,
             ),
         }
+    }
+
+    /// Adds a finished call's [`Tally`] to the shared counters.
+    fn settle(&self, tally: Tally) {
+        let Some(peer) = tally.peer else {
+            return; // no suspect
+        };
+        let add = |counter: &AtomicU64, n: u64| {
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        };
+        let attacks = tally.eia_attacks + tally.scan_attacks + tally.nns_attacks;
+        add(&self.metrics.eia_suspect, tally.suspects);
+        add(&self.metrics.eia_attacks, tally.eia_attacks);
+        add(&self.metrics.scan_attacks, tally.scan_attacks);
+        add(&self.metrics.nns_attacks, tally.nns_attacks);
+        add(&self.metrics.forgiven, tally.forgiven);
+        add(&peer.suspects, tally.suspects);
+        add(&peer.attacks, attacks);
+        add(&peer.forgiven, tally.forgiven);
     }
 
     /// Whether flow number `n` records its latency.
@@ -368,7 +465,14 @@ impl ConcurrentAnalyzer {
     /// Stages 2–3 plus alerting and suspect telemetry for one EIA-suspect
     /// flow. `started` carries the latency-sampling decision (and start
     /// time) made by the caller; `mismatch` is the peer the source was
-    /// expected at and the snapshot version that said so.
+    /// expected at and the snapshot version that said so. With `observe`
+    /// the suspect gets the full telemetry — scan-counter observation,
+    /// histograms, a flight-recorder entry — as every per-flow suspect and
+    /// every sampled batch suspect does; without, the stages skip gathering
+    /// it and only the exact counters and the shape sampler see the flow.
+    /// What the suspect counts for goes into `tally`, not yet into the
+    /// shared counters.
+    #[allow(clippy::too_many_arguments)]
     fn suspect_path(
         &self,
         started: Option<Instant>,
@@ -376,26 +480,33 @@ impl ConcurrentAnalyzer {
         flow: &FlowRecord,
         mismatch: (Option<PeerId>, u64),
         effort: Effort,
-        record: SuspectRecord,
+        observe: bool,
+        tally: &mut Tally,
     ) -> Verdict {
-        ConcurrentMetrics::bump(&self.metrics.eia_suspect);
+        if tally.peer.is_none() {
+            let peer = self.telemetry.peer_cell(ingress);
+            tally.seen_before = peer.suspects.load(Ordering::Relaxed);
+            tally.peer = Some(peer);
+        }
+        let tick = tally.seen_before + tally.suspects;
+        tally.suspects += 1;
         let (expected, version) = mismatch;
         let shard = self.shard_for(flow);
-        let observe = record.observed();
         // Per-flow suspects are rare and slow, so when telemetry is on they
         // are all timed, not just the latency-sampled ones (the histogram
-        // needs the tail); the batch loop samples instead
-        // (`SuspectRecord::Light`). `metrics.suspect_path` stays gated on
-        // `started`, so it keeps its 1-in-N semantics.
+        // needs the tail); the batch loop observes only the sampled ones.
+        // `metrics.suspect_path` stays gated on `started`, so it keeps its
+        // 1-in-N semantics.
         let suspect_started =
             started.or_else(|| (observe && self.telemetry.enabled()).then(Instant::now));
         let (verdict, observed) = match (self.cfg.mode, effort) {
             (Mode::Basic, _) | (Mode::Enhanced, Effort::BiOnly) => {
                 // BI (or the deepest degradation rung) flags every suspect
                 // directly.
-                ConcurrentMetrics::bump(&self.metrics.eia_attacks);
                 let stage = AttackStage::EiaMismatch { expected };
-                self.queue_alert(&mut self.shards[shard].lock(), flow, ingress, stage);
+                let mut shard = self.shards[shard].lock();
+                shard.suspects += 1;
+                self.queue_alert(&mut shard, flow, ingress, stage);
                 (Verdict::Attack(stage), SuspectObservation::default())
             }
             (Mode::Enhanced, effort) => {
@@ -408,8 +519,19 @@ impl ConcurrentAnalyzer {
                 .suspect_path
                 .record(elapsed.expect("timed when sampled"));
         }
-        match record {
-            SuspectRecord::Full => self.telemetry.record_suspect(
+        match verdict {
+            Verdict::Attack(AttackStage::EiaMismatch { .. }) => tally.eia_attacks += 1,
+            Verdict::Attack(AttackStage::NetworkScan { .. } | AttackStage::HostScan { .. }) => {
+                tally.scan_attacks += 1
+            }
+            Verdict::Attack(AttackStage::NnsAnomaly { .. }) => tally.nns_attacks += 1,
+            Verdict::Forgiven => tally.forgiven += 1,
+            Verdict::Legal => unreachable!("a suspect is never legal"),
+        }
+        self.telemetry
+            .sample_shape(tick, ingress, flow.src_addr, verdict);
+        if observe {
+            self.telemetry.record_suspect(
                 shard,
                 ingress,
                 expected,
@@ -417,11 +539,7 @@ impl ConcurrentAnalyzer {
                 &observed,
                 verdict,
                 elapsed.map_or(0, saturating_nanos),
-            ),
-            SuspectRecord::Light(peer) => {
-                self.telemetry
-                    .record_suspect_light(shard, ingress, flow.src_addr, peer, verdict)
-            }
+            );
         }
         verdict
     }
@@ -472,19 +590,19 @@ impl ConcurrentAnalyzer {
         let per_flow = a_started.map(|s| s.elapsed() / len as u32);
 
         // Phase B: bookkeeping and suspect analysis in original order.
-        // EIA-match bumps are batched into one fetch_add; stale-fallback
-        // flows go through `process_counted`, which bumps individually.
+        // EIA-match bumps are batched into one fetch_add and everything a
+        // suspect counts for into `tally`, settled after the loop — after
+        // the stale-fallback flows too, which add to the same tally (their
+        // matches go through `process_counted` and bump individually).
         let mut matches = 0u64;
         let mut stale = false;
+        let mut tally = Tally::default();
         trace::start("verdict");
-        // All suspects in this batch share one ingress: hoist their peer
-        // counter cell out of the loop, lazily so suspect-free batches
-        // never materialise it.
-        let mut peer: Option<Arc<crate::observe::PeerCounters>> = None;
         for (i, &eia_verdict) in eia.iter().enumerate() {
             let n = n0 + i as u64;
             if stale {
-                out.push(self.process_counted(n, ingress, &batch.record(i), effort));
+                let flow = batch.record(i);
+                out.push(self.process_counted(n, ingress, &flow, effort, &mut tally));
                 continue;
             }
             let sampled = self.latency_sampled(n);
@@ -497,16 +615,11 @@ impl ConcurrentAnalyzer {
                 EiaVerdict::Mismatch { expected } => {
                     let flow = batch.record(i);
                     let started = sampled.then(Instant::now);
-                    // Sampled suspects get the full observation; the rest
-                    // take the counters-only path (see `SuspectRecord`).
-                    let record = if sampled {
-                        SuspectRecord::Full
-                    } else {
-                        let peer = peer.get_or_insert_with(|| self.telemetry.peer_cell(ingress));
-                        SuspectRecord::Light(peer)
-                    };
                     let mismatch = (expected, snap_version);
-                    out.push(self.suspect_path(started, ingress, &flow, mismatch, effort, record));
+                    // Sampled suspects get the full observation.
+                    out.push(self.suspect_path(
+                        started, ingress, &flow, mismatch, effort, sampled, &mut tally,
+                    ));
                     if self.eia.version() != snap_version {
                         stale = true;
                     }
@@ -517,6 +630,7 @@ impl ConcurrentAnalyzer {
         if matches > 0 {
             self.metrics.eia_match.fetch_add(matches, Ordering::Relaxed);
         }
+        self.settle(tally);
 
         BATCH_SCRATCH.with(|s| *s.borrow_mut() = eia);
     }
@@ -540,6 +654,7 @@ impl ConcurrentAnalyzer {
         trace::start("scan");
         let (scan_hit, mut observed) = {
             let mut shard = self.shards[shard].lock();
+            shard.suspects += 1;
             let scanned = if observe {
                 scan_stage(&mut shard.scan, flow)
             } else {
@@ -555,7 +670,6 @@ impl ConcurrentAnalyzer {
         };
         trace::end();
         if let Some(stage) = scan_hit {
-            ConcurrentMetrics::bump(&self.metrics.scan_attacks);
             return (Verdict::Attack(stage), observed);
         }
         if effort == Effort::SkipNns {
@@ -563,7 +677,6 @@ impl ConcurrentAnalyzer {
             // cleared — but never recorded as a sighting, because nothing
             // vouched for its normality (adoption must not erode the EIA
             // sets under overload).
-            ConcurrentMetrics::bump(&self.metrics.forgiven);
             return (Verdict::Forgiven, observed);
         }
 
@@ -592,15 +705,13 @@ impl ConcurrentAnalyzer {
             SuspectOutcome::Cleared => {
                 // Within normal behaviour: not an attack; count toward
                 // dynamic EIA adoption (§5.2(a)).
-                ConcurrentMetrics::bump(&self.metrics.forgiven);
                 if self.record_sighting(ingress, flow.src_addr, version) {
-                    ConcurrentMetrics::bump(&self.metrics.adoptions);
+                    self.metrics.adoptions.fetch_add(1, Ordering::Relaxed);
                     self.telemetry.record_adoption(ingress);
                 }
                 Verdict::Forgiven
             }
             SuspectOutcome::Attack(stage) => {
-                ConcurrentMetrics::bump(&self.metrics.nns_attacks);
                 self.queue_alert(&mut self.shards[shard].lock(), flow, ingress, stage);
                 Verdict::Attack(stage)
             }
@@ -686,8 +797,16 @@ impl ConcurrentAnalyzer {
         prefixes
     }
 
-    /// Queues one alert on the flow's shard, whose lock the caller holds:
-    /// the id is taken under it, so every queue ascends by id.
+    /// Accounts one flagged flow on its shard, whose lock the caller
+    /// holds. A flow whose [`alert_key`] already has an alert since the last
+    /// drain adds to that alert's count and does nothing else. A new key
+    /// queues an alert and journals it; its id is taken under the lock, so
+    /// every queue ascends by id. Once [`OPEN_ALERTS`] keys are open, a new
+    /// key joins — or, as the first of them, becomes — the one overflow
+    /// aggregate of its `(ingress, stage kind)`, which describes its first
+    /// flow like any other alert. A drain therefore hands over at most
+    /// `OPEN_ALERTS + 4 × ingresses` alerts per shard, whatever the
+    /// attacker rotates.
     fn queue_alert(
         &self,
         shard: &mut Shard,
@@ -695,10 +814,30 @@ impl ConcurrentAnalyzer {
         ingress: PeerId,
         stage: AttackStage,
     ) {
+        let key = alert_key(ingress, &stage, flow.dst_addr);
+        let mut at = shard.open.get(key) as usize;
+        let full = shard.open.len() == OPEN_ALERTS;
+        if at == 0 && full {
+            let kind = std::mem::discriminant(&stage);
+            at = shard
+                .alerts
+                .range(OPEN_ALERTS..)
+                .position(|a| a.ingress == ingress && std::mem::discriminant(&a.stage) == kind)
+                .map_or(0, |i| OPEN_ALERTS + i + 1);
+        }
+        if at != 0 {
+            let alert = &mut shard.alerts[at - 1];
+            alert.count = alert.count.saturating_add(1);
+            alert.last_time_ms = alert.last_time_ms.max(flow.last_ms);
+            return;
+        }
         let id = self.alert_seq.fetch_add(1, Ordering::Relaxed);
         shard
             .alerts
             .push_back(IdmefAlert::new(id, flow, ingress, stage));
+        if !full {
+            shard.open.add(key, shard.alerts.len() as u32);
+        }
         self.telemetry.journal_event(JournalEvent::Alert {
             peer: ingress,
             message_id: id,
@@ -706,12 +845,23 @@ impl ConcurrentAnalyzer {
     }
 
     /// Hands every pending IDMEF alert to `sink`, ordered by message id
-    /// (the order `process` assigned them): a merge of the per-shard
-    /// queues, which keep their capacity across drains.
+    /// (the order their first flows were flagged in): a merge of the
+    /// per-shard queues, which keep their capacity across drains. The
+    /// drain closes every alert: the next flagged flow of any key opens a
+    /// new one, so an alert covers the time between two drains — one pump
+    /// step in the daemon — and `Σ count` over everything ever drained is
+    /// the number of attack verdicts.
     pub fn drain_alerts_into(&self, sink: &mut dyn FnMut(IdmefAlert)) {
         let mut runs = self.drained.lock();
         for (shard, run) in self.shards.iter().zip(runs.iter_mut()) {
-            std::mem::swap(&mut shard.lock().alerts, run);
+            let shard = &mut *shard.lock();
+            std::mem::swap(&mut shard.alerts, run);
+            // Forget the drained keys one by one: an idle drain must not
+            // cost a sweep of the whole table.
+            for alert in run.iter().take(shard.open.len()) {
+                let key = alert_key(alert.ingress, &alert.stage, alert.target);
+                shard.open.sub(key, u32::MAX);
+            }
         }
         while let Some(run) = runs
             .iter_mut()
@@ -849,13 +999,184 @@ mod tests {
                 });
             }
         });
+        // One key (peer 1, EIA stage, expected at peer 2), so one alert a
+        // shard, however the threads interleaved.
         let alerts = engine.drain_alerts();
-        assert_eq!(alerts.len(), 200);
-        let ids: Vec<u64> = alerts.iter().map(|a| a.message_id).collect();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(ids, sorted, "ids must be unique and drained in order");
+        assert!(alerts.len() <= engine.shards.len(), "{}", alerts.len());
+        assert_eq!(alerts.iter().map(|a| a.count).sum::<u32>(), 200);
+        assert!(
+            alerts.windows(2).all(|w| w[0].message_id < w[1].message_id),
+            "ids must be unique and drained in order"
+        );
+    }
+
+    /// Between two drains the flows of one key are one alert: the first
+    /// flow's fields, a count, the latest end time. The drain closes it.
+    #[test]
+    fn flows_of_one_key_fold_into_one_alert_until_the_drain() {
+        let engine = bi_analyzer();
+        let spoofed = |src: &str, last_ms: u32| FlowRecord {
+            src_addr: src.parse().unwrap(),
+            dst_port: 80,
+            last_ms,
+            ..FlowRecord::default()
+        };
+        for (src, last_ms) in [("3.40.0.1", 10), ("3.40.0.2", 30), ("3.40.0.3", 20)] {
+            assert!(engine
+                .process(PeerId(1), &spoofed(src, last_ms))
+                .is_attack());
+        }
+        // Another key each: nobody's source, and the same source at peer 2.
+        assert!(engine
+            .process(PeerId(1), &spoofed("9.0.0.1", 40))
+            .is_attack());
+        assert!(engine
+            .process(PeerId(2), &spoofed("9.0.0.1", 50))
+            .is_attack());
+        let alerts = engine.drain_alerts();
+        let seen: Vec<_> = alerts
+            .iter()
+            .map(|a| {
+                (
+                    a.message_id,
+                    a.ingress,
+                    a.count,
+                    a.create_time_ms,
+                    a.last_time_ms,
+                )
+            })
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (0, PeerId(1), 3, 10, 30),
+                (1, PeerId(1), 1, 40, 40),
+                (2, PeerId(2), 1, 50, 50)
+            ]
+        );
+        assert_eq!(alerts[0].source, "3.40.0.1".parse::<Ipv4Addr>().unwrap());
+        assert_eq!(engine.telemetry().journal().recorded(), 3);
+
+        assert!(engine
+            .process(PeerId(1), &spoofed("3.40.0.4", 60))
+            .is_attack());
+        let next = engine.drain_alerts();
+        assert_eq!(next.len(), 1, "the drained alert must not absorb this flow");
+        assert_eq!((next[0].message_id, next[0].count), (3, 1));
+        assert_eq!(engine.metrics().eia_attacks, 6);
+    }
+
+    /// Past [`OPEN_ALERTS`] keys a flow joins its `(ingress, stage kind)`
+    /// overflow aggregate, so a drain's size does not follow the number of
+    /// targets an attacker rotates through.
+    #[test]
+    fn keys_past_the_capacity_share_an_overflow_aggregate() {
+        let engine = ei_analyzer();
+        // FTP was never trained on: every suspect is an NNS anomaly, keyed
+        // by its destination. Too many packets to count as scan probes.
+        let anomalous = |dst: u32| FlowRecord {
+            src_addr: "9.0.0.1".parse().unwrap(),
+            dst_addr: Ipv4Addr::from(0x6001_0000 + dst),
+            dst_port: 21,
+            protocol: 6,
+            packets: 1_000,
+            ..normal_flow(0)
+        };
+        let targets = OPEN_ALERTS as u32 + 44;
+        for round in 0..2 {
+            for dst in 0..targets {
+                let ingress = PeerId(1 + (dst % 2) as u16);
+                let verdict = engine.process(ingress, &anomalous(dst));
+                assert!(
+                    matches!(verdict, Verdict::Attack(AttackStage::NnsAnomaly { .. })),
+                    "round {round}, target {dst}: {verdict:?}"
+                );
+            }
+        }
+        let alerts = engine.drain_alerts();
+        assert_eq!(alerts.len(), OPEN_ALERTS + 2, "one aggregate per ingress");
+        let (keyed, overflow) = alerts.split_at(OPEN_ALERTS);
+        assert!(keyed.iter().all(|a| a.count == 2));
+        assert_eq!(
+            overflow.iter().map(|a| a.count).collect::<Vec<_>>(),
+            [44, 44]
+        );
+        assert_eq!(
+            u32::from(overflow[0].target),
+            0x6001_0000 + OPEN_ALERTS as u32
+        );
+        assert_eq!(engine.telemetry().journal().recorded(), alerts.len() as u64);
+        // The drain forgot every key: the same stream keys afresh.
+        for dst in 0..targets {
+            engine.process(PeerId(1), &anomalous(dst));
+        }
+        assert_eq!(engine.drain_alerts().len(), OPEN_ALERTS + 1);
+        assert_eq!(engine.metrics().nns_attacks, 3 * u64::from(targets));
+    }
+
+    /// What a call's suspects count for reaches the shared counters when
+    /// the call returns — per flow or per batch, histograms on or off —
+    /// and each shard counts the suspects routed to it.
+    #[test]
+    fn a_call_settles_its_suspects_once() {
+        for enabled in [true, false] {
+            let mut eia = EiaRegistry::new(3);
+            eia.preload(PeerId(1), "3.0.0.0/11".parse().expect("static prefix"));
+            let mut cfg = AnalyzerConfig {
+                mode: Mode::Basic,
+                ..AnalyzerConfig::default()
+            };
+            cfg.telemetry.enabled = enabled;
+            let engine = ConcurrentAnalyzer::new(
+                Trainer::new(cfg).train_basic(eia),
+                ConcurrentConfig::default(),
+            );
+            let flows: Vec<FlowRecord> = (0..40u32)
+                .map(|i| FlowRecord {
+                    // Every fourth flow is peer 1's own.
+                    src_addr: Ipv4Addr::from(
+                        if i % 4 == 0 { 0x0300_0000 } else { 0x0900_0000 } + i,
+                    ),
+                    dst_addr: Ipv4Addr::from(0x6001_0000 + i),
+                    ..FlowRecord::default()
+                })
+                .collect();
+            let mut batch = FlowBatch::new();
+            batch.extend_from_records(&flows);
+            let mut verdicts = Vec::new();
+            engine.process_flow_batch_into(PeerId(1), &batch, Effort::Full, &mut verdicts);
+            engine.process(PeerId(2), &flows[1]);
+            let m = engine.metrics();
+            assert_eq!(
+                (m.flows, m.eia_match, m.eia_suspect, m.eia_attacks),
+                (41, 10, 31, 31)
+            );
+            let peers: Vec<_> = engine
+                .telemetry()
+                .peer_counters()
+                .iter()
+                .map(|(peer, c)| {
+                    let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+                    (
+                        *peer,
+                        load(&c.suspects),
+                        load(&c.attacks),
+                        load(&c.forgiven),
+                    )
+                })
+                .collect();
+            assert_eq!(peers, [(1, 30, 30, 0), (2, 1, 1, 0)]);
+            let by_shard = engine.shard_suspects();
+            assert_eq!(by_shard.iter().sum::<u64>(), 31);
+            assert!(
+                by_shard.iter().filter(|&&n| n > 0).count() > 1,
+                "{by_shard:?}"
+            );
+            assert_eq!(
+                engine.telemetry().suspect_path_latency().count() > 0,
+                enabled
+            );
+        }
     }
 
     #[test]

@@ -56,11 +56,17 @@ pub trait Engine {
         self.telemetry().ops_json(window)
     }
 
-    /// Hands every pending IDMEF alert to `sink` in generation order,
-    /// without allocating at a steady alert rate.
+    /// Hands every pending IDMEF alert to `sink`, ascending by message id,
+    /// without allocating. An alert stands for every flow flagged through
+    /// one ingress, at one stage, against one target since the previous
+    /// drain ([`IdmefAlert::count`] of them): how often a consumer drains
+    /// is how finely it sees an attack in time, and however the flagged
+    /// flows are spread, a drain hands over a bounded number of alerts (at
+    /// most `256 + 4 × ingresses` per shard) that together count every one
+    /// of them.
     fn drain_alerts_into(&mut self, sink: &mut dyn FnMut(IdmefAlert));
 
-    /// Drains pending IDMEF alerts in generation order into a fresh `Vec`.
+    /// [`Engine::drain_alerts_into`] a fresh `Vec`.
     fn drain_alerts(&mut self) -> Vec<IdmefAlert>;
 
     /// The EIA table readers currently see.

@@ -158,15 +158,13 @@ pub struct ConcurrentMetrics {
 }
 
 impl ConcurrentMetrics {
-    /// Bumps a counter by one (relaxed).
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A point-in-time [`AnalyzerMetrics`] copy. Counters are read
     /// independently; under concurrent load, derived identities (e.g.
     /// `flows == eia_match + eia_suspect`) may be transiently off by
-    /// in-flight flows but are exact once processing quiesces.
+    /// in-flight flows but are exact once processing quiesces. A batch's
+    /// flows are counted when it starts, its matches and everything its
+    /// suspects count for together when it ends: mid-batch the identities
+    /// are off by up to the batch.
     pub fn snapshot(&self) -> AnalyzerMetrics {
         AnalyzerMetrics {
             flows: self.flows.load(Ordering::Relaxed),

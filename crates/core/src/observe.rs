@@ -14,8 +14,9 @@
 //!   [`TelemetryConfig::record_fast_path_every`]; the latency histogram is
 //!   only fed on flows the engine already sampled with `Instant::now()`.
 //! * **Suspect path** (rare): two time reads, a handful of relaxed
-//!   histogram increments, one counter-family lookup, and one non-blocking
-//!   ring push — all allocation-free in steady state.
+//!   histogram increments and one non-blocking ring push — all
+//!   allocation-free in steady state. The per-peer counter cells live here,
+//!   but the engine adds to them, once per call.
 
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -145,9 +146,13 @@ pub enum JournalEvent {
         /// The adopting ingress peer.
         peer: PeerId,
     },
-    /// An IDMEF alert was emitted.
+    /// An IDMEF alert *message* was opened: the first flagged flow of its
+    /// `(ingress, stage, target)` since the last drain. The flows that fold
+    /// into it afterwards journal nothing, and its
+    /// [`count`](crate::IdmefAlert::count) is only final at that drain. A
+    /// sustained attack still opens one per key per drain.
     Alert {
-        /// Ingress peer of the offending flow.
+        /// Ingress peer of the first offending flow.
         peer: PeerId,
         /// The alert's message id.
         message_id: u64,
@@ -599,7 +604,6 @@ pub struct PipelineTelemetry {
     scan_distinct_hosts: AtomicHistogram,
     scan_distinct_ports: AtomicHistogram,
     peers: Family<u16, PeerCounters>,
-    shard_suspects: Vec<AtomicU64>,
     republishes: AtomicU64,
     recorders: Vec<Ring<FlowDecision>>,
     /// Worst sampled latency seen with an active trace, per path — the
@@ -608,9 +612,9 @@ pub struct PipelineTelemetry {
     suspect_exemplar: Exemplar,
     journal: Arc<Journal<JournalEvent>>,
     /// `shape_sample_every` rounded up to a power of two, minus one;
-    /// `None` when the shape layer is off. The per-peer suspect counter
-    /// the pipeline already bumps doubles as the sample tick, so the
-    /// unsampled path pays only the mask test.
+    /// `None` when the shape layer is off. The per-peer suspect count the
+    /// pipeline keeps anyway doubles as the sample tick, so the unsampled
+    /// path pays only the mask test.
     shape_mask: Option<u64>,
     /// Effective suspect sampling stride (mask + 1), for scaling sampled
     /// counts back to flow estimates.
@@ -658,7 +662,6 @@ impl PipelineTelemetry {
             } else {
                 Family::bounded(cfg.peer_family_cap)
             },
-            shard_suspects: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             republishes: AtomicU64::new(0),
             recorders: (0..shards).map(|_| Ring::new(capacity)).collect(),
             fast_exemplar: Exemplar::new(),
@@ -754,9 +757,10 @@ impl PipelineTelemetry {
         });
     }
 
-    /// Records one resolved suspect: histograms, per-peer and per-shard
-    /// counters, and the flight-recorder entry. Allocation-free after the
-    /// peer's counter cell exists.
+    /// Records one observed suspect: histograms and the flight-recorder
+    /// entry. The exact counters are the engine's — it settles them per
+    /// call, this suspect among them — and the shape feed is
+    /// [`PipelineTelemetry::sample_shape`]. Allocation-free.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn record_suspect(
         &self,
@@ -768,18 +772,6 @@ impl PipelineTelemetry {
         verdict: Verdict,
         elapsed_ns: u64,
     ) {
-        let peer = self.peers.get(&ingress.0);
-        let nth = peer.suspects.fetch_add(1, Ordering::Relaxed);
-        match verdict {
-            Verdict::Attack(_) => peer.attacks.fetch_add(1, Ordering::Relaxed),
-            Verdict::Forgiven => peer.forgiven.fetch_add(1, Ordering::Relaxed),
-            Verdict::Legal => 0, // unreachable: suspects are never Legal
-        };
-        self.shard_suspects[shard].fetch_add(1, Ordering::Relaxed);
-        if self.shape_due(nth) {
-            self.shape_suspect(ingress, flow.src_addr, verdict);
-        }
-
         if !self.cfg.enabled {
             return;
         }
@@ -817,35 +809,26 @@ impl PipelineTelemetry {
         });
     }
 
-    /// The shared counter cell for one peer, for callers that resolve many
-    /// suspects from the same ingress (the batch path hoists this lookup
-    /// out of its per-suspect loop).
+    /// The shared counter cell for one peer: the engine looks it up at a
+    /// call's first suspect and adds the call's totals to it at the end.
     pub(crate) fn peer_cell(&self, ingress: PeerId) -> Arc<PeerCounters> {
         self.peers.get(&ingress.0)
     }
 
-    /// The counters-only subset of [`PipelineTelemetry::record_suspect`]:
-    /// exact per-peer and per-shard suspect counts plus the sampled
-    /// attack-shape feed, no histograms and no flight-recorder entry. The
-    /// batch path uses this for suspects the latency sampler skipped, so
-    /// batch-mode suspect telemetry is sampled where per-flow telemetry is
-    /// exhaustive — the counters stay exact either way.
-    pub(crate) fn record_suspect_light(
+    /// The sampled attack-shape feed, offered every suspect: `tick` is
+    /// the suspect's number at its peer (the cell's count when the call
+    /// met its first suspect, plus the call's own since), and every
+    /// `shape_sample_every`-th feeds the sketches. Two threads on one
+    /// peer may draw the same tick; a sampler can afford that.
+    #[inline]
+    pub(crate) fn sample_shape(
         &self,
-        shard: usize,
+        tick: u64,
         ingress: PeerId,
         src_addr: Ipv4Addr,
-        peer: &PeerCounters,
         verdict: Verdict,
     ) {
-        let nth = peer.suspects.fetch_add(1, Ordering::Relaxed);
-        match verdict {
-            Verdict::Attack(_) => peer.attacks.fetch_add(1, Ordering::Relaxed),
-            Verdict::Forgiven => peer.forgiven.fetch_add(1, Ordering::Relaxed),
-            Verdict::Legal => 0, // unreachable: suspects are never Legal
-        };
-        self.shard_suspects[shard].fetch_add(1, Ordering::Relaxed);
-        if self.shape_due(nth) {
+        if self.shape_due(tick) {
             self.shape_suspect(ingress, src_addr, verdict);
         }
     }
@@ -1287,14 +1270,6 @@ impl PipelineTelemetry {
         self.peers.snapshot()
     }
 
-    /// Suspects routed to each shard (the shard-imbalance signal).
-    pub fn shard_suspects(&self) -> Vec<u64> {
-        self.shard_suspects
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
     /// EIA snapshot republishes so far.
     pub fn republishes(&self) -> u64 {
         self.republishes.load(Ordering::Relaxed)
@@ -1379,14 +1354,15 @@ const DISTANCE_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512];
 const SCAN_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
 
 /// Renders one Prometheus 0.0.4 exposition page from a counter snapshot,
-/// the telemetry state, per-shard scan occupancy `(buffered flows,
-/// counter entries)` gauges polled at scrape time, the published
-/// frozen-EIA table size as `(prefixes, approximate resident bytes)`, and
-/// the write side's sightings window as `(live candidates, evicted)`.
+/// the telemetry state, each shard's `(buffered flows, counter entries,
+/// suspects routed to it)` read under its lock at scrape time, the
+/// published frozen-EIA table size as `(prefixes, approximate resident
+/// bytes)`, and the write side's sightings window as `(live candidates,
+/// evicted)`.
 pub(crate) fn render_exposition(
     metrics: &AnalyzerMetrics,
     telemetry: &PipelineTelemetry,
-    shard_occupancy: &[(usize, usize)],
+    shards: &[(usize, usize, u64)],
     eia_table: (usize, usize),
     sightings: (usize, u64),
 ) -> String {
@@ -1499,33 +1475,27 @@ pub(crate) fn render_exposition(
         &peer_samples(|c| &c.adoptions),
     );
 
-    let shard_samples: Vec<_> = telemetry
-        .shard_suspects()
-        .into_iter()
-        .enumerate()
-        .map(|(shard, count)| (vec![("shard", shard.to_string())], count))
-        .collect();
+    let per_shard = |pick: fn(&(usize, usize, u64)) -> u64| -> Vec<_> {
+        shards
+            .iter()
+            .enumerate()
+            .map(|(shard, counts)| (vec![("shard", shard.to_string())], pick(counts)))
+            .collect()
+    };
     page.counter_family(
         "infilter_shard_suspects_total",
         "Suspects routed to each shard (imbalance signal).",
-        &shard_samples,
+        &per_shard(|c| c.2),
     );
-    let occupancy = |pick: fn(&(usize, usize)) -> usize| -> Vec<_> {
-        shard_occupancy
-            .iter()
-            .enumerate()
-            .map(|(shard, counts)| (vec![("shard", shard.to_string())], pick(counts) as u64))
-            .collect()
-    };
     page.gauge_family(
         "infilter_shard_scan_buffered",
         "Flows currently buffered by each shard's Scan Analysis.",
-        &occupancy(|c| c.0),
+        &per_shard(|c| c.0 as u64),
     );
     page.gauge_family(
         "infilter_shard_scan_entries",
         "Live scan-counter entries held by each shard.",
-        &occupancy(|c| c.1),
+        &per_shard(|c| c.1 as u64),
     );
 
     page.histogram(
@@ -1676,16 +1646,13 @@ mod tests {
         assert!(last.windows(2).all(|w| w[0].seq > w[1].seq), "newest first");
         assert_eq!(last[0].verdict, Verdict::Forgiven);
         assert_eq!(last[0].nns_distance, 12);
-        assert_eq!(telemetry.shard_suspects(), vec![2, 1]);
-        let peers = telemetry.peer_counters();
-        assert_eq!(peers.len(), 1);
-        assert_eq!(peers[0].1.suspects.load(Ordering::Relaxed), 3);
-        assert_eq!(peers[0].1.attacks.load(Ordering::Relaxed), 2);
-        assert_eq!(peers[0].1.forgiven.load(Ordering::Relaxed), 1);
         assert_eq!(telemetry.suspect_path_latency().count(), 3);
         assert_eq!(telemetry.nns_distance_histogram().count(), 3);
     }
 
+    /// The exact counters are the engine's and do not pass through
+    /// `record_suspect` (`concurrent.rs::a_call_settles_its_suspects_once`);
+    /// the cells it adds to are there whether telemetry is on or not.
     #[test]
     fn disabling_keeps_counters_but_not_histograms() {
         let telemetry = PipelineTelemetry::new(
@@ -1706,14 +1673,10 @@ mod tests {
         );
         assert_eq!(telemetry.suspect_path_latency().count(), 0);
         assert!(telemetry.explain_last(5).is_empty());
-        assert_eq!(
-            telemetry.peer_counters()[0]
-                .1
-                .suspects
-                .load(Ordering::Relaxed),
-            1
-        );
-        assert_eq!(telemetry.shard_suspects(), vec![1]);
+        let peer = telemetry.peer_cell(PeerId(1));
+        peer.suspects.fetch_add(1, Ordering::Relaxed);
+        let cells = telemetry.peer_counters();
+        assert_eq!(cells[0].1.suspects.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1754,6 +1717,10 @@ mod tests {
             Verdict::Attack(crate::AttackStage::EiaMismatch { expected: None }),
             2_000,
         );
+        telemetry
+            .peer_cell(PeerId(3))
+            .suspects
+            .fetch_add(1, Ordering::Relaxed);
         telemetry.record_republish();
         let metrics = AnalyzerMetrics {
             flows: 5,
@@ -1762,7 +1729,8 @@ mod tests {
             eia_attacks: 1,
             ..AnalyzerMetrics::default()
         };
-        let page = render_exposition(&metrics, &telemetry, &[(3, 2), (0, 0)], (42, 4096), (7, 9));
+        let shards = [(3, 2, 1), (0, 0, 0)];
+        let page = render_exposition(&metrics, &telemetry, &shards, (42, 4096), (7, 9));
         for family in METRIC_FAMILIES {
             assert!(
                 page.contains(&format!("# TYPE {family} ")),
@@ -1772,6 +1740,7 @@ mod tests {
         assert!(page.contains("infilter_attacks_total{stage=\"eia\"} 1"));
         assert!(page.contains("infilter_peer_suspects_total{peer=\"3\"} 1"));
         assert!(page.contains("infilter_shard_scan_buffered{shard=\"0\"} 3"));
+        assert!(page.contains("infilter_shard_suspects_total{shard=\"0\"} 1"));
         assert!(page.contains("infilter_snapshot_republish_total 1"));
         assert!(page.contains("infilter_sightings_entries 7"));
         assert!(page.contains("infilter_sightings_evicted_total 9"));
@@ -1810,18 +1779,16 @@ mod tests {
             },
             1,
         );
-        let attacked = telemetry.peer_cell(PeerId(1));
-        let healthy = telemetry.peer_cell(PeerId(2));
         // Peer 1 emits nothing but suspects (EI-miss ratio 1.0); peer 2
         // rides the fast path with one stray suspect.
         let spoof = |i: u32| Ipv4Addr::from(0x0a00_0000u32 + i);
         for i in 0..32u32 {
-            telemetry.record_suspect_light(0, PeerId(1), spoof(i), &attacked, Verdict::Forgiven);
+            telemetry.sample_shape(u64::from(i), PeerId(1), spoof(i), Verdict::Forgiven);
         }
         for _ in 0..8u32 {
             telemetry.record_fast_path(0, PeerId(2), &flow(), 0);
         }
-        telemetry.record_suspect_light(0, PeerId(2), spoof(99), &healthy, Verdict::Forgiven);
+        telemetry.sample_shape(0, PeerId(2), spoof(99), Verdict::Forgiven);
         telemetry.seal_now();
 
         let summary = telemetry.shape_summary();
@@ -1851,7 +1818,7 @@ mod tests {
         // Still above the line next interval: no second event (the latch
         // holds until the score drops below the threshold).
         for i in 0..32u32 {
-            telemetry.record_suspect_light(0, PeerId(1), spoof(i), &attacked, Verdict::Forgiven);
+            telemetry.sample_shape(u64::from(i), PeerId(1), spoof(i), Verdict::Forgiven);
         }
         telemetry.seal_now();
         assert_eq!(drift_events(&telemetry), 1, "latch holds while above");
@@ -1863,7 +1830,7 @@ mod tests {
         }
         telemetry.seal_now();
         for i in 0..32u32 {
-            telemetry.record_suspect_light(0, PeerId(1), spoof(i), &attacked, Verdict::Forgiven);
+            telemetry.sample_shape(u64::from(i), PeerId(1), spoof(i), Verdict::Forgiven);
         }
         telemetry.seal_now();
         assert_eq!(drift_events(&telemetry), 2, "re-armed after recovery");
@@ -1890,7 +1857,7 @@ mod tests {
         let page = render_exposition(
             &AnalyzerMetrics::default(),
             &telemetry,
-            &[(0, 0)],
+            &[(0, 0, 0)],
             (0, 0),
             (0, 0),
         );

@@ -554,26 +554,6 @@ impl NnsMemo {
     }
 }
 
-/// How the suspect path should account a resolved suspect.
-pub(crate) enum SuspectRecord<'a> {
-    /// Full telemetry: scan-counter observation, histograms, and a
-    /// flight-recorder entry — the per-flow path, and sampled batch
-    /// suspects.
-    Full,
-    /// Exact counters only, against a peer cell the batch path hoisted
-    /// out of its loop. Unsampled batch suspects take this arm, keeping
-    /// the suspect hot path free of histogram and recorder writes.
-    Light(&'a crate::observe::PeerCounters),
-}
-
-impl SuspectRecord<'_> {
-    /// Whether this suspect's observation (scan counters, NNS timing)
-    /// will actually be recorded — when not, the stages skip gathering it.
-    pub(crate) fn observed(&self) -> bool {
-        matches!(self, SuspectRecord::Full)
-    }
-}
-
 /// Maps a scan verdict onto the attack stage it flags, if any.
 pub(crate) fn scan_verdict_stage(verdict: ScanVerdict) -> Option<AttackStage> {
     match verdict {

@@ -32,22 +32,25 @@ pub struct TracebackReport {
     ingresses: BTreeMap<PeerId, IngressActivity>,
 }
 
-/// Attack activity attributed to one ingress point.
+/// Attack activity attributed to one ingress point. The totals count
+/// flagged *flows* ([`IdmefAlert::count`]), not alert messages: a message
+/// is one target, however much traffic hit it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct IngressActivity {
-    /// Total alerts attributed to this ingress.
+    /// Flagged flows attributed to this ingress.
     pub alerts: u64,
-    /// Alerts that fired at the EIA stage.
+    /// Of those, flagged at the EIA stage.
     pub eia: u64,
-    /// Alerts that fired at Scan Analysis.
+    /// Flagged by Scan Analysis.
     pub scans: u64,
-    /// Alerts that fired at the NNS stage.
+    /// Flagged at the NNS stage.
     pub anomalies: u64,
-    /// Distinct victim addresses targeted through this ingress.
+    /// Distinct victim addresses the alerts name (each alert names the
+    /// first flow's).
     pub victims: Vec<Ipv4Addr>,
-    /// First and last alert times (exporter ms).
+    /// End time of the earliest first flow (exporter ms).
     pub first_ms: u32,
-    /// Last alert time (exporter ms).
+    /// Latest flow end time (exporter ms).
     pub last_ms: u32,
 }
 
@@ -62,17 +65,20 @@ impl TracebackReport {
                     first_ms: u32::MAX,
                     ..IngressActivity::default()
                 });
-            entry.alerts += 1;
+            let flows = u64::from(a.count);
+            entry.alerts += flows;
             match a.stage {
-                AttackStage::EiaMismatch { .. } => entry.eia += 1,
-                AttackStage::NetworkScan { .. } | AttackStage::HostScan { .. } => entry.scans += 1,
-                AttackStage::NnsAnomaly { .. } => entry.anomalies += 1,
+                AttackStage::EiaMismatch { .. } => entry.eia += flows,
+                AttackStage::NetworkScan { .. } | AttackStage::HostScan { .. } => {
+                    entry.scans += flows
+                }
+                AttackStage::NnsAnomaly { .. } => entry.anomalies += flows,
             }
             if !entry.victims.contains(&a.target) {
                 entry.victims.push(a.target);
             }
             entry.first_ms = entry.first_ms.min(a.create_time_ms);
-            entry.last_ms = entry.last_ms.max(a.create_time_ms);
+            entry.last_ms = entry.last_ms.max(a.create_time_ms.max(a.last_time_ms));
         }
         TracebackReport { ingresses }
     }
@@ -85,7 +91,7 @@ impl TracebackReport {
         v
     }
 
-    /// The ingress with the most attributed alerts.
+    /// The ingress with the most flagged flows.
     pub fn hottest_ingress(&self) -> Option<PeerId> {
         self.ranked().first().map(|(p, _)| *p)
     }
@@ -108,7 +114,7 @@ impl TracebackReport {
     /// Renders a short operator-facing summary.
     pub fn render(&self) -> String {
         let mut out =
-            String::from("ingress     alerts  eia  scans  anomalies  victims  window(ms)\n");
+            String::from("ingress      flows  eia  scans  anomalies  victims  window(ms)\n");
         for (peer, a) in self.ranked() {
             out.push_str(&format!(
                 "{:<10}  {:>6}  {:>3}  {:>5}  {:>9}  {:>7}  {}..{}\n",
@@ -179,6 +185,31 @@ mod tests {
         let rendered = r.render();
         assert!(rendered.contains("PeerAS2"));
         assert!(rendered.contains("PeerAS5"));
+    }
+
+    /// One message standing for 40 flows outranks three one-flow messages:
+    /// the hottest ingress is where the traffic is, not where the most
+    /// distinct targets are.
+    #[test]
+    fn counts_flows_not_messages() {
+        let stage = AttackStage::EiaMismatch { expected: None };
+        let flood = IdmefAlert {
+            count: 40,
+            last_time_ms: 900,
+            ..alert(0, 4, "96.1.0.1", stage, 100)
+        };
+        let alerts = vec![
+            flood,
+            alert(1, 6, "96.1.0.2", stage, 150),
+            alert(2, 6, "96.1.0.3", stage, 160),
+            alert(3, 6, "96.1.0.4", stage, 170),
+        ];
+        let r = TracebackReport::from_alerts(&alerts);
+        assert_eq!(r.hottest_ingress(), Some(PeerId(4)));
+        let a4 = r.ingress(PeerId(4)).unwrap();
+        assert_eq!((a4.alerts, a4.eia), (40, 40));
+        assert_eq!((a4.first_ms, a4.last_ms), (100, 900));
+        assert_eq!(r.ingress(PeerId(6)).unwrap().alerts, 3);
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! and no shards. It shares no function with the engine beyond those
 //! types, so a bug in the engine's stage glue cannot hide in both. The
 //! proptests hold the engine to it per flow and batched, in both modes, at
-//! every rung; the remaining tests pin the operational surface.
+//! every rung — verdicts, counters, adoptions, and every alert of every
+//! drain, field by field; the remaining tests pin the operational surface.
 
 use infilter_core::{
     AdoptionEvent, Analyzer, AnalyzerConfig, AnalyzerMetrics, AttackStage, ClusterModel,
-    ConcurrentAnalyzer, ConcurrentConfig, Effort, EiaRegistry, EiaVerdict, Mode, PeerId,
-    ScanAnalyzer, ScanConfig, ScanVerdict, Trainer, Verdict, METRIC_FAMILIES,
+    ConcurrentAnalyzer, ConcurrentConfig, Effort, EiaRegistry, EiaVerdict, IdmefAlert, Mode,
+    PeerId, ScanAnalyzer, ScanConfig, ScanVerdict, Trainer, Verdict, METRIC_FAMILIES,
 };
 use infilter_netflow::{FlowBatch, FlowRecord};
 use infilter_nns::NnsParams;
@@ -113,7 +114,34 @@ struct Oracle {
     scan: ScanAnalyzer,
     model: Option<ClusterModel>,
     m: AnalyzerMetrics,
-    alerts: usize,
+    /// The alerts open since the last drain, in the order their first
+    /// flows were flagged; ids count up from 0 as a new engine's do.
+    book: Vec<IdmefAlert>,
+    next_id: u64,
+}
+
+/// What an alert aggregates over — ingress, stage kind, the stage's target
+/// — read off the alert.
+fn alert_key(a: &IdmefAlert) -> (PeerId, u8, u32) {
+    match a.stage {
+        AttackStage::EiaMismatch { expected } => {
+            (a.ingress, 0, expected.map_or(0, |p| u32::from(p.0) + 1))
+        }
+        AttackStage::NetworkScan { dst_port, .. } => (a.ingress, 1, dst_port.into()),
+        AttackStage::HostScan { dst_addr, .. } => (a.ingress, 2, dst_addr.into()),
+        AttackStage::NnsAnomaly { .. } => (a.ingress, 3, a.target.into()),
+    }
+}
+
+/// Folds `alert` into the one of `book` with its key, or appends it.
+fn fold_into(book: &mut Vec<IdmefAlert>, alert: IdmefAlert) {
+    match book.iter_mut().find(|b| alert_key(b) == alert_key(&alert)) {
+        Some(open) => {
+            open.count += alert.count;
+            open.last_time_ms = open.last_time_ms.max(alert.last_time_ms);
+        }
+        None => book.push(alert),
+    }
 }
 
 impl Oracle {
@@ -133,7 +161,8 @@ impl Oracle {
             scan: ScanAnalyzer::new(cfg.scan),
             model,
             m: AnalyzerMetrics::default(),
-            alerts: 0,
+            book: Vec::new(),
+            next_id: 0,
         }
     }
 
@@ -145,8 +174,17 @@ impl Oracle {
         };
         self.m.eia_suspect += 1;
         let verdict = self.suspect(peer, flow, expected, effort);
-        self.alerts += usize::from(verdict.is_attack());
+        if let Verdict::Attack(stage) = verdict {
+            let open = self.book.len();
+            let alert = IdmefAlert::new(self.next_id, flow, peer, stage);
+            fold_into(&mut self.book, alert);
+            self.next_id += (self.book.len() - open) as u64;
+        }
         verdict
+    }
+
+    fn drain_alerts(&mut self) -> Vec<IdmefAlert> {
+        std::mem::take(&mut self.book)
     }
 
     fn suspect(
@@ -208,62 +246,110 @@ impl Oracle {
 struct Outcome {
     verdicts: Vec<Verdict>,
     counters: [(&'static str, u64); 8],
-    alerts: usize,
+    /// What each drain handed over, whole: ids, the first flow's fields,
+    /// `count`, `last_time_ms`.
+    alerts: Vec<Vec<IdmefAlert>>,
     adoptions: Vec<AdoptionEvent>,
 }
 
+/// Flows between two alert drains: short enough that the generated streams
+/// span several, so an alert left open — or a key left behind — by one
+/// drain shows in the next.
+const WINDOW: usize = 32;
+
 fn oracle_outcome(mode: Mode, effort: Effort, flows: &[(PeerId, FlowRecord)]) -> Outcome {
     let mut oracle = Oracle::new(mode);
-    let verdicts = flows
-        .iter()
-        .map(|(peer, flow)| oracle.process(*peer, flow, effort))
-        .collect();
+    let (mut verdicts, mut alerts) = (Vec::new(), Vec::new());
+    for window in flows.chunks(WINDOW) {
+        verdicts.extend(
+            window
+                .iter()
+                .map(|(peer, flow)| oracle.process(*peer, flow, effort)),
+        );
+        alerts.push(oracle.drain_alerts());
+    }
     let mut adoptions = Vec::new();
     oracle.eia.drain_events(&mut adoptions);
     Outcome {
         verdicts,
         counters: oracle.m.named_counters(),
-        alerts: oracle.alerts,
+        alerts,
         adoptions,
     }
 }
 
-fn engine_outcome(engine: &ConcurrentAnalyzer, verdicts: Vec<Verdict>) -> Outcome {
+/// One `process_with_effort` call per flow.
+fn per_flow_outcome(
+    engine: &ConcurrentAnalyzer,
+    effort: Effort,
+    flows: &[(PeerId, FlowRecord)],
+) -> Outcome {
+    let (mut verdicts, mut alerts) = (Vec::new(), Vec::new());
+    for window in flows.chunks(WINDOW) {
+        verdicts.extend(
+            window
+                .iter()
+                .map(|(peer, flow)| engine.process_with_effort(*peer, flow, effort)),
+        );
+        alerts.push(engine.drain_alerts());
+    }
     let mut adoptions = Vec::new();
     engine.adoption_events(&mut adoptions);
     Outcome {
         verdicts,
         counters: engine.metrics().named_counters(),
-        alerts: engine.drain_alerts().len(),
+        alerts,
         adoptions,
     }
-}
-
-/// One `process_with_effort` call per flow, on the engine as training
-/// hands it over.
-fn per_flow_outcome(mode: Mode, effort: Effort, flows: &[(PeerId, FlowRecord)]) -> Outcome {
-    let engine = analyzer(mode);
-    let verdicts = flows
-        .iter()
-        .map(|(peer, flow)| engine.process_with_effort(*peer, flow, effort))
-        .collect();
-    engine_outcome(&engine, verdicts)
 }
 
 /// Runs of same-ingress flows as one batch each, so adoptions land
 /// mid-batch and the rest of the batch takes the stale fallback.
 fn batched_outcome(mode: Mode, effort: Effort, flows: &[(PeerId, FlowRecord)]) -> Outcome {
     let engine = sharded(mode, 1);
-    let mut verdicts = Vec::new();
+    let (mut verdicts, mut alerts) = (Vec::new(), Vec::new());
     let mut batch = FlowBatch::new();
-    for run in flows.chunk_by(|a, b| a.0 == b.0) {
-        batch.clear();
-        for (_, flow) in run {
-            batch.push_record(flow);
+    for window in flows.chunks(WINDOW) {
+        for run in window.chunk_by(|a, b| a.0 == b.0) {
+            batch.clear();
+            for (_, flow) in run {
+                batch.push_record(flow);
+            }
+            engine.process_flow_batch_into(run[0].0, &batch, effort, &mut verdicts);
         }
-        engine.process_flow_batch_into(run[0].0, &batch, effort, &mut verdicts);
+        alerts.push(engine.drain_alerts());
     }
-    engine_outcome(&engine, verdicts)
+    let mut adoptions = Vec::new();
+    engine.adoption_events(&mut adoptions);
+    Outcome {
+        verdicts,
+        counters: engine.metrics().named_counters(),
+        alerts,
+        adoptions,
+    }
+}
+
+/// Four shards, where sharding cannot change a verdict (no Scan Analysis
+/// ran). A key's flows then sit on up to four shards by destination, so a
+/// drain hands over up to four alerts per key: ids still ascend, and folded
+/// back per key — the lowest id first, so the first flagged flow's fields
+/// survive — they are the oracle's book.
+fn resharded_outcome(mode: Mode, effort: Effort, flows: &[(PeerId, FlowRecord)]) -> Outcome {
+    let mut outcome = per_flow_outcome(&sharded(mode, 4), effort, flows);
+    let ids = outcome.alerts.iter().flatten().map(|a| a.message_id);
+    assert!(ids.clone().zip(ids.skip(1)).all(|(a, b)| a < b));
+    let mut next_id = 0..;
+    for drained in &mut outcome.alerts {
+        let mut book = Vec::new();
+        for alert in drained.drain(..) {
+            fold_into(&mut book, alert);
+        }
+        for alert in &mut book {
+            alert.message_id = next_id.next().expect("endless");
+        }
+        *drained = book;
+    }
+    outcome
 }
 
 fn assert_matches_oracle(flows: &[(PeerId, FlowRecord)]) -> Result<(), TestCaseError> {
@@ -271,7 +357,7 @@ fn assert_matches_oracle(flows: &[(PeerId, FlowRecord)]) -> Result<(), TestCaseE
         for effort in Effort::ALL {
             let want = oracle_outcome(mode, effort, flows);
             prop_assert_eq!(
-                &per_flow_outcome(mode, effort, flows),
+                &per_flow_outcome(&analyzer(mode), effort, flows),
                 &want,
                 "per flow, {:?} at {:?}",
                 mode,
@@ -284,6 +370,15 @@ fn assert_matches_oracle(flows: &[(PeerId, FlowRecord)]) -> Result<(), TestCaseE
                 mode,
                 effort
             );
+            if mode == Mode::Basic || effort == Effort::BiOnly {
+                prop_assert_eq!(
+                    &resharded_outcome(mode, effort, flows),
+                    &want,
+                    "re-sharded, {:?} at {:?}",
+                    mode,
+                    effort
+                );
+            }
         }
     }
     Ok(())

@@ -1,7 +1,7 @@
 //! Property tests: the pipeline's accounting identities hold for
 //! arbitrary flow streams in both software configurations.
 
-use infilter_core::{AnalyzerConfig, EiaRegistry, Mode, PeerId, Trainer};
+use infilter_core::{AnalyzerConfig, AttackStage, EiaRegistry, IdmefAlert, Mode, PeerId, Trainer};
 use infilter_netflow::FlowRecord;
 use infilter_nns::NnsParams;
 use proptest::prelude::*;
@@ -27,6 +27,19 @@ fn eia() -> EiaRegistry {
     r.preload(PeerId(1), "3.0.0.0/11".parse().expect("static prefix"));
     r.preload(PeerId(2), "3.32.0.0/11".parse().expect("static prefix"));
     r
+}
+
+/// What an alert aggregates over — ingress, stage kind, the stage's
+/// target — read off the alert.
+fn alert_key(a: &IdmefAlert) -> (PeerId, u8, u32) {
+    match a.stage {
+        AttackStage::EiaMismatch { expected } => {
+            (a.ingress, 0, expected.map_or(0, |p| u32::from(p.0) + 1))
+        }
+        AttackStage::NetworkScan { dst_port, .. } => (a.ingress, 1, dst_port.into()),
+        AttackStage::HostScan { dst_addr, .. } => (a.ingress, 2, dst_addr.into()),
+        AttackStage::NnsAnomaly { .. } => (a.ingress, 3, a.target.into()),
+    }
 }
 
 fn training() -> Vec<FlowRecord> {
@@ -91,7 +104,15 @@ proptest! {
         prop_assert_eq!(m.eia_suspect, m.attacks() + m.forgiven);
         prop_assert_eq!(m.eia_attacks, 0, "EI never flags at the EIA stage");
         prop_assert_eq!(m.attacks(), attacks);
-        prop_assert_eq!(a.drain_alerts().len() as u64, attacks, "one alert per attack verdict");
+        // Far below the per-drain key capacity: every key has one alert,
+        // and the alerts' counts are the attack verdicts.
+        let alerts = a.drain_alerts();
+        let flagged: u64 = alerts.iter().map(|a| u64::from(a.count)).sum();
+        prop_assert_eq!(flagged, attacks, "every attack verdict is in exactly one alert");
+        let mut keys: Vec<_> = alerts.iter().map(alert_key).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        prop_assert_eq!(keys.len(), alerts.len(), "two alerts of one drain share a key");
         prop_assert_eq!(m.fast_path.count, m.eia_match);
         prop_assert_eq!(m.suspect_path.count, m.eia_suspect);
     }

@@ -7,7 +7,8 @@
 //! `infilterd` deploys; the last ones to the traffic a spoofed flood is made
 //! of: probe-sized suspects that churn the scan tables and raise alerts,
 //! and, with adoption on, two million never-repeating sources through the
-//! sightings window.
+//! sightings window; and to an attacker who rotates what alerts are keyed
+//! by, so that every flagged flow wants an alert of its own.
 //!
 //! This file intentionally holds a single `#[test]` — a second test running
 //! concurrently in the same binary would allocate under the shared counter
@@ -378,7 +379,7 @@ fn suspect_path_encode_and_search_allocate_nothing_after_warmup() {
                 .process(infilter_core::PeerId(1), &fresh(i))
                 .is_forgiven());
             if i % 64 == 63 {
-                adopting.drain_alerts_into(&mut |_| *alerts += 1);
+                adopting.drain_alerts_into(&mut |a| *alerts += u64::from(a.count));
             }
         }
     };
@@ -392,7 +393,7 @@ fn suspect_path_encode_and_search_allocate_nothing_after_warmup() {
         "a 2 M-source flood allocated {} times after the first sighting",
         after - before
     );
-    assert_eq!(alerts, 2_000_000, "one alert per probe, all drained");
+    assert_eq!(alerts, 2_000_000, "every probe in one alert, all drained");
     let page = adopting.prometheus_text();
     assert!(
         page.contains("\ninfilter_sightings_entries 65536\n")
@@ -432,7 +433,7 @@ fn suspect_path_encode_and_search_allocate_nothing_after_warmup() {
         assert!(verdicts
             .chunks(3)
             .all(|v| { v[0].is_attack() && v[1].is_forgiven() && v[2].is_legal() }));
-        engine.drain_alerts_into(&mut |_| *alerts += 1);
+        engine.drain_alerts_into(&mut |a| *alerts += u64::from(a.count));
     };
     alerts = 0;
     for _ in 0..200u32 {
@@ -472,6 +473,125 @@ fn suspect_path_encode_and_search_allocate_nothing_after_warmup() {
     assert_eq!(
         alerts,
         10 * 4_220,
-        "one alert per probe, merged and drained"
+        "every probe in one alert, merged and drained"
     );
+
+    // --- Hostile keys: 20 000 flagged flows between two drains, each wanting
+    // a key of its own. First NNS anomalies (a service nothing was trained
+    // on, too many packets for a probe) whose destination host changes on
+    // every flow; then probes whose port moves on to a fresh set of eight
+    // every 400 flows, each port sprayed over enough hosts to be flagged a
+    // network scan, the hosts changing too. Through two ingresses, on one
+    // shard and on four, tracing off and on. A shard keys 256 alerts and
+    // folds the rest into one aggregate per (ingress, stage kind): a drain
+    // hands over at most 256 + 4 × 2 a shard, they count every attack
+    // verdict, each was journalled once, and once both sides of every
+    // shard's queue swap have grown to that bound nothing allocates.
+    let hostile = |i: u32, scan: bool| FlowRecord {
+        src_addr: (0x0900_0000u32 + (i & 0xffff)).into(),
+        dst_addr: (0x6003_0000u32 + i % 50_000).into(),
+        dst_port: if scan {
+            (2_000 + i % 8 + 8 * (i / 400)) as u16
+        } else {
+            21
+        },
+        protocol: if scan { 17 } else { 6 },
+        packets: if scan { 1 } else { 1_000 },
+        octets: 40_000,
+        ..FlowRecord::default()
+    };
+    let hostile_engine = |shards: usize| {
+        let mut eia = infilter_core::EiaRegistry::new(0);
+        eia.preload(
+            infilter_core::PeerId(1),
+            "3.0.0.0/11".parse().expect("static prefix"),
+        );
+        let trained = infilter_core::Trainer::new(
+            infilter_core::AnalyzerConfig::builder()
+                .mode(infilter_core::Mode::Enhanced)
+                .nns(NnsParams {
+                    d: 0,
+                    m1: 2,
+                    m2: 8,
+                    m3: 2,
+                })
+                .bits_per_feature(12)
+                .build()
+                .expect("valid config"),
+        )
+        .train_enhanced(eia, &flows)
+        .expect("training succeeds");
+        let ccfg = infilter_core::ConcurrentConfig {
+            shards,
+            ..infilter_core::ConcurrentConfig::default()
+        };
+        infilter_core::ConcurrentAnalyzer::new(trained, ccfg)
+    };
+    for shards in [1usize, 4] {
+        let engine = hostile_engine(shards);
+        let bound = shards * (256 + 4 * 2);
+        // One drain interval: 500 batches of 40, then the drain.
+        let mut interval = |scan: bool, traced: bool| -> (usize, u64) {
+            for b in 0..500u32 {
+                mix.clear();
+                for i in 0..40 {
+                    mix.push_record(&hostile(b * 40 + i, scan));
+                }
+                verdicts.clear();
+                let ingress = infilter_core::PeerId(1 + (b % 2) as u16);
+                if traced {
+                    infilter_telemetry::trace::begin(tracer.decide());
+                }
+                engine.process_flow_batch_into(
+                    ingress,
+                    &mix,
+                    infilter_core::Effort::Full,
+                    &mut verdicts,
+                );
+                if traced {
+                    infilter_telemetry::trace::finish(tracer.collector());
+                }
+                assert!(verdicts.iter().all(|v| v.is_attack()));
+            }
+            let (mut messages, mut flagged) = (0, 0);
+            engine.drain_alerts_into(&mut |a| {
+                messages += 1;
+                flagged += u64::from(a.count);
+            });
+            (messages, flagged)
+        };
+        for scan in [false, true] {
+            // Two intervals grow both queues of every shard's swap.
+            interval(scan, false);
+            interval(scan, true);
+            let journalled = engine.telemetry().journal().recorded();
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let (plain, plain_flows) = interval(scan, false);
+            let (traced, traced_flows) = interval(scan, true);
+            let after = ALLOCATIONS.load(Ordering::Relaxed);
+            assert_eq!(
+                after - before,
+                0,
+                "{shards} shard(s), scan {scan}: 40 000 key-rotating attack flows allocated"
+            );
+            for messages in [plain, traced] {
+                assert!(
+                    messages > 256 && messages <= bound,
+                    "{shards} shard(s), scan {scan}: a drain of {messages} alerts (bound {bound})"
+                );
+            }
+            assert_eq!((plain_flows, traced_flows), (20_000, 20_000));
+            assert_eq!(
+                engine.telemetry().journal().recorded() - journalled,
+                (plain + traced) as u64,
+                "one journal record per alert message"
+            );
+        }
+        let m = engine.metrics();
+        assert_eq!(m.attacks(), 8 * 20_000);
+        assert!(
+            m.nns_attacks >= 4 * 20_000 && m.scan_attacks > 20_000,
+            "{m:?}"
+        );
+    }
 }

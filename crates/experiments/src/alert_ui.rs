@@ -11,9 +11,11 @@ use serde::{Deserialize, Serialize};
 /// Counters the console keeps per classification text.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClassificationCount {
-    /// Alerts with this classification.
+    /// Alert messages with this classification.
     pub count: u64,
-    /// Most recent alert time (exporter ms).
+    /// Flagged flows those messages stand for ([`IdmefAlert::count`]).
+    pub flows: u64,
+    /// End of the most recent flagged flow (exporter ms).
     pub last_seen_ms: u32,
 }
 
@@ -35,7 +37,7 @@ pub struct ClassificationCount {
 ///     distinct_hosts: 25,
 /// });
 /// console.receive_xml(&alert.to_xml()).unwrap();
-/// assert_eq!(console.total_alerts(), 1);
+/// assert_eq!((console.total_alerts(), console.total_flows()), (1, 1));
 /// assert!(console.render().contains("network scan"));
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -76,13 +78,20 @@ impl AlertConsole {
             .entry(alert.classification())
             .or_default();
         entry.count += 1;
-        entry.last_seen_ms = entry.last_seen_ms.max(alert.create_time_ms);
+        entry.flows += u64::from(alert.count);
+        let last = alert.create_time_ms.max(alert.last_time_ms);
+        entry.last_seen_ms = entry.last_seen_ms.max(last);
         self.alerts.push(alert);
     }
 
-    /// Total alerts displayed.
+    /// Total alert messages displayed.
     pub fn total_alerts(&self) -> u64 {
         self.alerts.len() as u64
+    }
+
+    /// Flagged flows those messages stand for.
+    pub fn total_flows(&self) -> u64 {
+        self.alerts.iter().map(|a| u64::from(a.count)).sum()
     }
 
     /// Malformed messages rejected so far.
@@ -108,15 +117,19 @@ impl AlertConsole {
     /// Renders the status board.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "ALERT CONSOLE — {} alerts, {} malformed messages\n\n",
+            "ALERT CONSOLE — {} alerts for {} flows, {} malformed messages\n\n",
             self.total_alerts(),
+            self.total_flows(),
             self.parse_errors
         );
         out.push_str(
-            "classification                                                count  last seen (ms)\n",
+            "classification                                                count    flows  last seen (ms)\n",
         );
         for (text, c) in &self.classifications {
-            out.push_str(&format!("{text:<60}  {:>5}  {}\n", c.count, c.last_seen_ms));
+            out.push_str(&format!(
+                "{text:<60}  {:>5}  {:>7}  {}\n",
+                c.count, c.flows, c.last_seen_ms
+            ));
         }
         out.push('\n');
         out.push_str(&self.traceback().render());
@@ -157,22 +170,27 @@ mod tests {
                 .receive_xml(&scan_alert(i, 1, 100 * i as u32).to_xml())
                 .expect("own XML parses");
         }
-        console
-            .receive_xml(&scan_alert(5, 3, 900).to_xml())
-            .expect("parses");
-        assert_eq!(console.total_alerts(), 6);
+        // One message from peer 3 that stands for 40 flows, the last at 950.
+        let flood = IdmefAlert {
+            count: 40,
+            last_time_ms: 950,
+            ..scan_alert(5, 3, 900)
+        };
+        console.receive_xml(&flood.to_xml()).expect("parses");
+        assert_eq!((console.total_alerts(), console.total_flows()), (6, 45));
         assert_eq!(console.classifications().len(), 1);
         let c = console
             .classifications()
             .values()
             .next()
             .expect("one class");
-        assert_eq!(c.count, 6);
-        assert_eq!(c.last_seen_ms, 900);
-        assert_eq!(console.traceback().hottest_ingress(), Some(PeerId(1)));
+        assert_eq!((c.count, c.flows), (6, 45));
+        assert_eq!(c.last_seen_ms, 950);
+        // The traffic came through peer 3, most of the messages through 1.
+        assert_eq!(console.traceback().hottest_ingress(), Some(PeerId(3)));
         assert_eq!(console.alerts_from(PeerId(3)).count(), 1);
         let board = console.render();
-        assert!(board.contains("6 alerts"));
+        assert!(board.contains("6 alerts for 45 flows"));
         assert!(board.contains("PeerAS1"));
     }
 

@@ -38,8 +38,12 @@ fn legal_batch(i: u32) -> Batch {
 }
 
 fn spoofed_batch(i: u32) -> Batch {
+    spoofed_batch_via(PeerId(1), i)
+}
+
+fn spoofed_batch_via(ingress: PeerId, i: u32) -> Batch {
     Batch::new(
-        PeerId(1),
+        ingress,
         std::iter::once(FlowRecord {
             src_addr: (0x0320_0000u32 + i).into(),
             ..legal_record(0)
@@ -166,14 +170,15 @@ fn skip_nns_and_bi_only_transitions_are_counted_separately() {
 #[test]
 fn alert_spool_drops_oldest_with_accounting() {
     // Basic mode: every spoofed flow is an immediate EIA-mismatch attack,
-    // so alert production is deterministic.
+    // so alert production is deterministic — one alert per ingress the
+    // step saw an attack through, hence five ingresses.
     let engine = bootstrap_engine(&daemon_config(Mode::Basic), &BootstrapConfig::default())
         .expect("bootstrap");
     let intake = Arc::new(Intake::new(1, 100, Arc::new(IngestMetrics::default())));
     let mut pump = IngestPump::new(engine, intake.clone(), LadderConfig::default(), 10, 2);
 
     for i in 0..5 {
-        intake.push_batch(spoofed_batch(i));
+        intake.push_batch(spoofed_batch_via(PeerId(10 + i as u16), i));
     }
     pump.drain();
     assert_eq!(pump.spooled(), 2, "spool is bounded");
@@ -181,6 +186,99 @@ fn alert_spool_drops_oldest_with_accounting() {
     let drained = pump.take_alerts(0);
     assert_eq!(drained.len(), 2);
     assert_eq!(pump.spooled(), 0);
+}
+
+/// The journal is for state changes. An attack journals one record per
+/// alert *message* — per (ingress, stage, victim) per pump step — so at the
+/// daemon's shipped sizes a 100 000-flow flood through two ingresses leaves
+/// the ladder move that preceded it readable. One record per flagged flow
+/// wrapped the 1 024 slots every 1 024 attack flows.
+#[test]
+fn a_flood_does_not_wipe_the_journal() {
+    use infilter_telemetry::Tracer;
+
+    let shipped = DaemonConfig::default();
+    let cfg = daemon_config(Mode::Enhanced);
+    assert_eq!(cfg.journal_capacity, shipped.journal_capacity);
+    let engine = bootstrap_engine(&cfg, &BootstrapConfig::default()).expect("bootstrap");
+    let journal = Arc::clone(engine.telemetry().journal());
+    let intake = Arc::new(Intake::with_observers(
+        cfg.rings,
+        cfg.ring_capacity,
+        Arc::new(IngestMetrics::default()),
+        Arc::new(Tracer::new(cfg.trace_sample_every, cfg.trace_capacity)),
+        Arc::clone(&journal),
+    ));
+    let mut pump = IngestPump::new(
+        engine,
+        intake.clone(),
+        cfg.ladder,
+        cfg.batch_budget,
+        cfg.alert_spool,
+    );
+
+    // A burst past the first watermark moves the ladder; calm steps move
+    // it back.
+    for i in 0..cfg.ring_capacity as u32 * 6 / 10 {
+        intake.push_batch(legal_batch(i));
+    }
+    pump.step();
+    assert_eq!(pump.effort(), Effort::SkipNns);
+    pump.drain();
+    for _ in 0..=cfg.ladder.recover_after {
+        pump.step();
+    }
+    assert_eq!(pump.effort(), Effort::Full);
+    assert!(pump.take_alerts(0).is_empty());
+    let before = journal.recorded();
+    assert_eq!(before, 2, "down and up");
+
+    // The flood: one-packet probes from never-repeating sources nobody
+    // owns, through two ingresses, at one victim each, the port moving on
+    // every flow. Datagram-sized batches, a step every 16 of them.
+    const FLOWS: u32 = 100_000;
+    let (mut alerts, mut flagged) = (0u64, 0u64);
+    for first in (0..FLOWS).step_by(30) {
+        let peer = 1 + (first / 30 % 2) as u16;
+        let records = (first..(first + 30).min(FLOWS)).map(|i| FlowRecord {
+            src_addr: (0x0900_0000u32 + i).into(),
+            dst_addr: (0x6001_0014u32 + u32::from(peer)).into(),
+            dst_port: (1_024 + i % 50_000) as u16,
+            protocol: 17,
+            input_if: peer,
+            packets: 1,
+            octets: 40,
+            last_ms: i,
+            ..FlowRecord::default()
+        });
+        intake.push_batch(Batch::new(PeerId(peer), records.collect()));
+        if first / 30 % 16 == 15 || first + 30 >= FLOWS {
+            pump.step();
+            for alert in pump.take_alerts(0) {
+                alerts += 1;
+                flagged += u64::from(alert.count);
+            }
+        }
+    }
+    assert!(intake.is_empty());
+    assert_eq!(
+        pump.effort(),
+        Effort::Full,
+        "the flood must not move the ladder"
+    );
+    let m = pump.engine().metrics();
+    assert_eq!((m.eia_suspect, m.adoptions), (u64::from(FLOWS), 0));
+    assert_eq!(flagged, m.attacks(), "alerts count every attack verdict");
+    assert!(flagged > u64::from(FLOWS) * 9 / 10, "{flagged} flagged");
+
+    assert_eq!(journal.recorded() - before, alerts, "one record per alert");
+    assert!(alerts < 1_000, "{alerts} alerts");
+    let kept = journal.last(cfg.journal_capacity);
+    let moves = kept
+        .iter()
+        .filter(|e| e.event.kind() == "ladder_transition")
+        .count();
+    assert_eq!(moves, 2, "the ladder moves must outlive the flood");
 }
 
 /// Forced traces follow alert *onsets*, not alert-bearing steps: under a
@@ -193,7 +291,7 @@ fn sustained_alerts_force_one_trace_per_onset() {
     use infilter_telemetry::{Journal, Tracer};
 
     const SAMPLE_EVERY: u32 = 8;
-    // Basic mode: every spoofed flow is an alert.
+    // Basic mode: every step that sees a spoofed flow drains an alert.
     let engine = bootstrap_engine(&daemon_config(Mode::Basic), &BootstrapConfig::default())
         .expect("bootstrap");
     let tracer = Arc::new(Tracer::new(u64::from(SAMPLE_EVERY), 64));

@@ -1,6 +1,7 @@
 //! A fixed-capacity open-addressing table from packed `u64` keys to
 //! non-zero `u32` values, for state whose keys an attacker chooses: the
-//! scan-analysis counters and the index over the EIA sightings window.
+//! scan-analysis counters, the index over the EIA sightings window, and
+//! the index over a shard's open alerts.
 //!
 //! Sized once for its owner's bound, it never grows, rehashes or
 //! allocates afterwards. Linear probing over a power-of-two slot array at
@@ -169,6 +170,34 @@ mod tests {
             }
             for (key, want) in &model {
                 assert_eq!(table.get(*key), *want, "key {key:#x} lost to a shift");
+            }
+        }
+    }
+
+    /// How the engine's alert index uses the table: fill it to capacity
+    /// with positions, then forget every key by walking them in queue
+    /// order. No key may be stranded behind a hole on the way, and the
+    /// emptied table takes the next fill.
+    #[test]
+    fn forgetting_every_key_in_turn_empties_the_table() {
+        for multiplier in [0x9e37_79b9_7f4a_7c15, (1 << 61) | 1] {
+            let mut table = FlatTable::with_multiplier(256, multiplier);
+            let mut model: HashMap<u64, u32> = HashMap::new();
+            for round in 0..3u64 {
+                let key = |i: u64| ((i % 7) << 34) | (i.wrapping_mul(0x0101_0101) + round);
+                for i in 0..256 {
+                    assert_eq!(table.get(key(i)), 0);
+                    assert_eq!(table.add(key(i), i as u32 + 1), i as u32 + 1);
+                    model.insert(key(i), i as u32 + 1);
+                }
+                for i in 0..256 {
+                    assert_eq!(table.sub(key(i), u32::MAX), 0);
+                    model.remove(&key(i));
+                    assert_eq!(table.len(), model.len());
+                    for (key, position) in &model {
+                        assert_eq!(table.get(*key), *position, "key {key:#x} stranded");
+                    }
+                }
             }
         }
     }

@@ -84,7 +84,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("scan-analysis attacks: {}", analyzer.metrics().scan_attacks);
     println!("nns attacks          : {}", analyzer.metrics().nns_attacks);
     let alerts = analyzer.drain_alerts();
-    println!("IDMEF alerts emitted : {}", alerts.len());
+    let alerted: u64 = alerts.iter().map(|a| u64::from(a.count)).sum();
+    println!(
+        "IDMEF alerts emitted : {} for {alerted} flows",
+        alerts.len()
+    );
     if let Some(first) = alerts.first() {
         println!("\nfirst alert:\n{}", first.to_xml());
     }

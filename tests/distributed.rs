@@ -117,6 +117,9 @@ fn figure9_deployment_over_udp_and_threads() {
     let alerts = shared.drain_alerts();
     let report = TracebackReport::from_alerts(&alerts);
     assert_eq!(report.hottest_ingress(), Some(PeerId(2)));
+    // ...by the flows flagged there, not by how many alerts carried them.
+    let br2 = report.ingress(PeerId(2)).expect("BR2 has activity");
+    assert_eq!(br2.alerts, metrics.attacks());
     assert!(
         report.ingress(PeerId(1)).is_none(),
         "no alerts for clean BR1"

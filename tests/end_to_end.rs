@@ -108,6 +108,11 @@ fn full_wire_path_detects_spoofed_worm_and_passes_legit_traffic() {
     assert!(worm_flagged > 0, "the spoofed worm must be flagged");
     let alerts = analyzer.drain_alerts();
     assert!(!alerts.is_empty(), "attacks must produce IDMEF alerts");
+    // An alert stands for every flow flagged against its target: together
+    // they count the attack verdicts, in far fewer messages.
+    let flagged: u64 = alerts.iter().map(|a| u64::from(a.count)).sum();
+    assert_eq!(flagged, analyzer.metrics().attacks());
+    assert!(alerts.len() < worm_flagged, "{} alerts", alerts.len());
     // Every alert names the worm's ingress and is well-formed XML-ish.
     for alert in &alerts {
         assert_eq!(alert.ingress, PeerId(1));
