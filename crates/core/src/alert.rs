@@ -83,7 +83,7 @@ impl IdmefAlert {
             protocol: flow.protocol,
             ingress,
             stage,
-            count: 1,
+            count: one_flow(),
             last_time_ms: flow.last_ms,
         }
     }

@@ -71,7 +71,7 @@ pub use engine::Engine;
 pub use metrics::{AnalyzerMetrics, AtomicStageLatency, ConcurrentMetrics, StageLatency};
 pub use observe::{
     render_events_json, FlowDecision, JournalEvent, PeerCounters, PeerShapeSummary, PeerWindow,
-    PipelineTelemetry, ShapeSummary, ShapeWindow, SnapshotHealth, TelemetryConfig, METRIC_FAMILIES,
+    PipelineTelemetry, ShapeSummary, ShapeWindow, SnapshotHealth, TelemetryConfig,
 };
 pub use pipeline::{
     Analyzer, AnalyzerConfig, AnalyzerConfigBuilder, AttackStage, ConfigError, Effort, Mode,

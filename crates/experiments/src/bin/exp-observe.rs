@@ -6,9 +6,9 @@
 //! Usage: `exp-observe [seed] [flows_per_peer] [--smoke] [--serve ADDR:PORT]
 //! [--replay-to ADDR:PORT]`
 //!
-//! * `--smoke` runs a small workload and exits non-zero if the exposition
-//!   misses any advertised metric family or the injected attack never
-//!   reached the flight recorder (the CI contract).
+//! * `--smoke` runs a small workload and exits non-zero if the injected
+//!   attack never reached the counters, the flight recorder or the `/ops`
+//!   top-K table (the CI contract).
 //! * `--serve ADDR:PORT` runs the workload, then serves the exposition
 //!   over HTTP until interrupted (scrape it with a real Prometheus).
 //! * `--replay-to ADDR:PORT` skips the in-process engine and instead ships
@@ -46,12 +46,13 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(if smoke { 400 } else { 1500 });
 
+    let cfg = ObserveConfig {
+        seed,
+        flows_per_peer,
+        ..ObserveConfig::default()
+    };
+
     if let Some(addr) = replay_to {
-        let cfg = ObserveConfig {
-            seed,
-            flows_per_peer,
-            ..ObserveConfig::default()
-        };
         match observe::replay_workload_to(cfg, &*addr, std::time::Duration::from_micros(400)) {
             Ok(stats) => println!(
                 "replayed {} flows in {} datagrams ({} bytes) to udp://{addr}",
@@ -65,11 +66,7 @@ fn main() {
         return;
     }
 
-    let report = observe::run(ObserveConfig {
-        seed,
-        flows_per_peer,
-        ..ObserveConfig::default()
-    });
+    let report = observe::run(cfg);
 
     println!(
         "replayed {} wire flows in {} datagrams (seed {seed})",
@@ -90,15 +87,10 @@ fn main() {
     }
 
     if smoke {
-        let missing = observe::missing_families(&report.exposition);
         let attack_recorded = report
             .decisions
             .iter()
             .any(|d| matches!(d.verdict, Verdict::Attack(_)));
-        if !missing.is_empty() {
-            eprintln!("SMOKE FAIL: exposition missing metric families: {missing:?}");
-            std::process::exit(1);
-        }
         if report.metrics.attacks() == 0 || !attack_recorded {
             eprintln!(
                 "SMOKE FAIL: injected attack not observed (attacks={}, recorded={attack_recorded})",
@@ -106,11 +98,7 @@ fn main() {
             );
             std::process::exit(1);
         }
-        let src = observe::attack_source(&ObserveConfig {
-            seed,
-            flows_per_peer,
-            ..ObserveConfig::default()
-        });
+        let src = observe::attack_source(&cfg);
         if !report
             .ops_json
             .contains(&format!("\"top_sources\":[{{\"addr\":\"{src}\""))
@@ -122,8 +110,7 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "\nSMOKE OK: {} metric families exposed, {} attacks flagged",
-            infilter_core::METRIC_FAMILIES.len(),
+            "\nSMOKE OK: {} attacks flagged, {src} ranked first in /ops",
             report.metrics.attacks()
         );
         return;
@@ -139,16 +126,16 @@ fn main() {
     }
 }
 
-/// Minimal blocking HTTP loop over the finished run: `/metrics` serves the
-/// Prometheus page, `/trace` the Chrome trace-event JSON (load it in
-/// Perfetto), `/events` the structured journal, `/ops` the attack-shape
-/// document; anything else gets the exposition for backwards compatibility
-/// with bare scrapes.
+/// Minimal blocking HTTP loop over the finished run, under the daemon's
+/// route spellings: `/v1/metrics` serves the Prometheus page, `/v1/trace`
+/// the Chrome trace-event JSON (load it in Perfetto), `/v1/events` the
+/// structured journal, `/v1/ops` the attack-shape document; anything else
+/// is a 404.
 fn serve_report(addr: &str, report: &infilter_experiments::observe::ObserveReport) {
     use std::io::{Read, Write};
     let listener =
         std::net::TcpListener::bind(addr).unwrap_or_else(|e| panic!("cannot bind {addr}: {e}"));
-    println!("\nserving http://{addr}/metrics /trace /events /ops (ctrl-c to stop)");
+    println!("\nserving http://{addr}/v1/metrics /v1/trace /v1/events /v1/ops (ctrl-c to stop)");
     for stream in listener.incoming() {
         let Ok(mut stream) = stream else { continue };
         let mut buf = [0u8; 1024];
@@ -158,15 +145,21 @@ fn serve_report(addr: &str, report: &infilter_experiments::observe::ObserveRepor
             .split_whitespace()
             .nth(1)
             .map(|p| p.split('?').next().unwrap_or(p))
-            .unwrap_or("/metrics");
-        let (content_type, body) = match path {
-            "/trace" => ("application/json", report.trace_json.as_str()),
-            "/events" => ("application/json", report.events_json.as_str()),
-            "/ops" => ("application/json", report.ops_json.as_str()),
-            _ => ("text/plain; version=0.0.4", report.exposition.as_str()),
+            .unwrap_or("");
+        let json = "application/json";
+        let (status, content_type, body) = match path {
+            "/v1/metrics" => (
+                "200 OK",
+                "text/plain; version=0.0.4",
+                report.exposition.as_str(),
+            ),
+            "/v1/trace" => ("200 OK", json, report.trace_json.as_str()),
+            "/v1/events" => ("200 OK", json, report.events_json.as_str()),
+            "/v1/ops" => ("200 OK", json, report.ops_json.as_str()),
+            _ => ("404 Not Found", "text/plain", "no such route\n"),
         };
         let head = format!(
-            "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             body.len()
         );
         let _ = stream.write_all(head.as_bytes());

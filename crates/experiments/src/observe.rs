@@ -2,22 +2,18 @@
 //! with one injected spoofed attack, driven end to end through the wire
 //! format into a [`ConcurrentAnalyzer`], with delta-rate reporting, the
 //! flight-recorder verdict trail, and the final Prometheus exposition.
-//!
-//! The module also carries the CI contract: [`missing_families`] checks a
-//! live exposition page against [`infilter_core::METRIC_FAMILIES`], so a
-//! metric family that silently disappears fails `exp-observe --smoke`.
 
 use std::net::Ipv4Addr;
 
 use infilter_core::{
     render_events_json, AnalyzerMetrics, ConcurrentAnalyzer, ConcurrentConfig, Effort,
-    FlowDecision, PeerId, METRIC_FAMILIES,
+    FlowDecision, PeerId,
 };
 use infilter_dagflow::{eia_table, AddressMapper, Dagflow, DagflowConfig, UdpReplayStats};
 use infilter_net::SubBlock;
 use infilter_netflow::{Datagram, FlowBatch};
 use infilter_telemetry::{chrome_trace_json, trace, DeltaReporter, RateSample, Tracer};
-use infilter_traffic::{AttackKind, NormalProfile};
+use infilter_traffic::{AttackKind, NormalProfile, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -80,36 +76,81 @@ pub struct ObserveReport {
     pub ops_json: String,
 }
 
+/// The small testbed shape every observed run uses.
+fn bed_config(cfg: &ObserveConfig) -> TestbedConfig {
+    TestbedConfig {
+        normal_flows_per_peer: cfg.flows_per_peer,
+        ..TestbedConfig::small(cfg.seed)
+    }
+}
+
+/// Sources for the injected attacks: every *other* peer's blocks (§6.3.1).
+fn foreign_sources(bed_cfg: &TestbedConfig) -> AddressMapper {
+    let foreign = (bed_cfg.blocks_per_peer..bed_cfg.n_peers * bed_cfg.blocks_per_peer)
+        .map(|i| SubBlock::from_linear(i).expect("in range"));
+    AddressMapper::from_sub_blocks(foreign)
+}
+
 /// The one address all injected attack flows carry: the foreign-block
 /// mapper's image of [`ATTACK_SRC_SLOT`] under `cfg`'s testbed shape. The
 /// `/ops` top-K table must rank it first after a replay.
 pub fn attack_source(cfg: &ObserveConfig) -> Ipv4Addr {
-    let bed_cfg = TestbedConfig {
-        normal_flows_per_peer: cfg.flows_per_peer,
-        ..TestbedConfig::small(cfg.seed)
+    foreign_sources(&bed_config(cfg)).addr_for_slot(ATTACK_SRC_SLOT)
+}
+
+/// The workload [`run`] replays in process and [`replay_workload_to`]
+/// ships over UDP: the exporters in replay order, each with the `(trace,
+/// start offset ms)` pairs it exports. One Dagflow per peer replays normal
+/// traffic from the peer's own blocks; then an attack Dagflow exporting
+/// through peer 1 sends two shapes pinned to [`ATTACK_SRC_SLOT`]: a Slammer
+/// spray (many hosts, one port — its per-shard distinct-host counts dilute
+/// under sharding, so it exercises the NNS stage) and a host scan (one
+/// host, many ports — all probes land on one shard, so the scan stage
+/// reliably fires).
+fn workload(cfg: &ObserveConfig) -> Vec<(Dagflow, Vec<(Trace, u32)>)> {
+    let bed_cfg = bed_config(cfg);
+    let exporter = |sources: AddressMapper, peer: u16| {
+        Dagflow::new(DagflowConfig {
+            sources,
+            target_prefix: bed_cfg.target_prefix,
+            export_port: 9000 + peer,
+            input_if: peer,
+            src_as: peer,
+        })
     };
-    let foreign: Vec<SubBlock> = (bed_cfg.blocks_per_peer
-        ..bed_cfg.n_peers * bed_cfg.blocks_per_peer)
-        .map(|i| SubBlock::from_linear(i).expect("in range"))
-        .collect();
-    AddressMapper::from_sub_blocks(foreign).addr_for_slot(ATTACK_SRC_SLOT)
-}
-
-/// Pins every flow in an attack trace to [`ATTACK_SRC_SLOT`].
-fn pin_attack_source(trace: &mut infilter_traffic::Trace) {
-    for f in &mut trace.flows {
-        f.src_slot = ATTACK_SRC_SLOT;
-    }
-}
-
-/// Metric families advertised in [`METRIC_FAMILIES`] but absent from a
-/// rendered exposition page. Empty means the contract holds.
-pub fn missing_families(exposition: &str) -> Vec<&'static str> {
-    METRIC_FAMILIES
+    let eia = eia_table(bed_cfg.n_peers, bed_cfg.blocks_per_peer);
+    let mut exporters: Vec<_> = eia
         .iter()
-        .filter(|family| !exposition.contains(&format!("# TYPE {family} ")))
-        .copied()
-        .collect()
+        .take(2)
+        .enumerate()
+        .map(|(i, blocks)| {
+            let trace = NormalProfile::default().generate(
+                &mut StdRng::seed_from_u64(cfg.seed ^ (0xa0 + i as u64)),
+                cfg.flows_per_peer,
+                bed_cfg.span_ms,
+            );
+            let sources = AddressMapper::from_sub_blocks(blocks.iter().copied());
+            (exporter(sources, i as u16 + 1), vec![(trace, 0)])
+        })
+        .collect();
+    let attack = |kind: AttackKind, salt: u64| {
+        let mut trace = kind
+            .generate(&mut StdRng::seed_from_u64(cfg.seed ^ salt), 1024)
+            .trace;
+        for f in &mut trace.flows {
+            f.src_slot = ATTACK_SRC_SLOT;
+        }
+        trace
+    };
+    let span_ms = bed_cfg.span_ms as u32;
+    exporters.push((
+        exporter(foreign_sources(&bed_cfg), 1),
+        vec![
+            (attack(AttackKind::Slammer, 0xbad), span_ms / 2),
+            (attack(AttackKind::HostScan, 0x5ca7), span_ms / 3),
+        ],
+    ));
+    exporters
 }
 
 /// Runs the full observed replay: train on the small testbed, export two
@@ -121,11 +162,7 @@ pub fn missing_families(exposition: &str) -> Vec<&'static str> {
 ///
 /// Panics if a datagram fails to decode its own encoding (a codec bug).
 pub fn run(cfg: ObserveConfig) -> ObserveReport {
-    let bed_cfg = TestbedConfig {
-        normal_flows_per_peer: cfg.flows_per_peer,
-        ..TestbedConfig::small(cfg.seed)
-    };
-    let bed = Testbed::new(bed_cfg.clone());
+    let bed = Testbed::new(bed_config(&cfg));
     let engine = ConcurrentAnalyzer::new(
         bed.train(),
         ConcurrentConfig {
@@ -134,53 +171,14 @@ pub fn run(cfg: ObserveConfig) -> ObserveReport {
         },
     );
 
-    // Export side: one Dagflow per peer replaying its own blocks, plus an
-    // attack Dagflow drawing sources from every *other* peer's blocks while
-    // exporting through peer 1 (§6.3.1).
-    let eia = eia_table(bed_cfg.n_peers, bed_cfg.blocks_per_peer);
-    let span_ms = bed_cfg.span_ms;
     let mut wire: Vec<(u16, Datagram)> = Vec::new();
     let mut exported_flows = 0u64;
-    for (peer, blocks) in eia.iter().enumerate().take(2) {
-        let trace = NormalProfile::default().generate(
-            &mut StdRng::seed_from_u64(cfg.seed ^ (0xa0 + peer as u64)),
-            cfg.flows_per_peer,
-            span_ms,
-        );
-        let mut dagflow = Dagflow::new(DagflowConfig {
-            sources: AddressMapper::from_sub_blocks(blocks.iter().copied()),
-            target_prefix: bed_cfg.target_prefix,
-            export_port: 9001 + peer as u16,
-            input_if: peer as u16 + 1,
-            src_as: peer as u16 + 1,
-        });
-        wire.extend(dagflow.replay_datagrams(&trace, 0));
+    for (mut dagflow, traces) in workload(&cfg) {
+        for (trace, offset_ms) in &traces {
+            wire.extend(dagflow.replay_datagrams(trace, *offset_ms));
+        }
         exported_flows += dagflow.replay_stats().flows;
     }
-    let foreign: Vec<SubBlock> = (bed_cfg.blocks_per_peer
-        ..bed_cfg.n_peers * bed_cfg.blocks_per_peer)
-        .map(|i| SubBlock::from_linear(i).expect("in range"))
-        .collect();
-    let mut attack = Dagflow::new(DagflowConfig {
-        sources: AddressMapper::from_sub_blocks(foreign),
-        target_prefix: bed_cfg.target_prefix,
-        export_port: 9001,
-        input_if: 1,
-        src_as: 1,
-    });
-    // Two attack shapes: a Slammer spray (many hosts, one port — its
-    // per-shard distinct-host counts dilute under sharding, so it exercises
-    // the NNS stage) and a host scan (one host, many ports — all probes
-    // land on one shard, so the scan stage reliably fires).
-    let mut slammer =
-        AttackKind::Slammer.generate(&mut StdRng::seed_from_u64(cfg.seed ^ 0xbad), 1024);
-    pin_attack_source(&mut slammer.trace);
-    wire.extend(attack.replay_datagrams(&slammer.trace, span_ms as u32 / 2));
-    let mut host_scan =
-        AttackKind::HostScan.generate(&mut StdRng::seed_from_u64(cfg.seed ^ 0x5ca7), 1024);
-    pin_attack_source(&mut host_scan.trace);
-    wire.extend(attack.replay_datagrams(&host_scan.trace, span_ms as u32 / 3));
-    exported_flows += attack.replay_stats().flows;
 
     // Collector side: wire round-trip each datagram, demultiplex the peer
     // from the export port, and batch-process the decoded records.
@@ -230,10 +228,9 @@ pub fn run(cfg: ObserveConfig) -> ObserveReport {
     }
 }
 
-/// Ships the exact workload [`run`] replays in-process — two peers' normal
-/// traffic plus the spoofed Slammer burst and host scan through peer 1 —
-/// over live UDP to a NetFlow v5 collector instead, making `exp-observe`
-/// the load generator for a running `infilterd`.
+/// Ships the workload [`run`] replays in-process over live UDP to a
+/// NetFlow v5 collector instead, making `exp-observe` the load generator
+/// for a running `infilterd`.
 ///
 /// # Errors
 ///
@@ -243,51 +240,15 @@ pub fn replay_workload_to<A: std::net::ToSocketAddrs + Copy>(
     to: A,
     pace: std::time::Duration,
 ) -> std::io::Result<UdpReplayStats> {
-    let bed_cfg = TestbedConfig {
-        normal_flows_per_peer: cfg.flows_per_peer,
-        ..TestbedConfig::small(cfg.seed)
-    };
-    let eia = eia_table(bed_cfg.n_peers, bed_cfg.blocks_per_peer);
     let mut total = UdpReplayStats::default();
-    let mut tally = |s: UdpReplayStats| {
-        total.datagrams += s.datagrams;
-        total.flows += s.flows;
-        total.bytes += s.bytes;
-    };
-    for (peer, blocks) in eia.iter().enumerate().take(2) {
-        let trace = NormalProfile::default().generate(
-            &mut StdRng::seed_from_u64(cfg.seed ^ (0xa0 + peer as u64)),
-            cfg.flows_per_peer,
-            bed_cfg.span_ms,
-        );
-        let mut dagflow = Dagflow::new(DagflowConfig {
-            sources: AddressMapper::from_sub_blocks(blocks.iter().copied()),
-            target_prefix: bed_cfg.target_prefix,
-            export_port: 9001 + peer as u16,
-            input_if: peer as u16 + 1,
-            src_as: peer as u16 + 1,
-        });
-        tally(dagflow.replay_to(&trace, 0, to, pace)?);
+    for (mut dagflow, traces) in workload(&cfg) {
+        for (trace, offset_ms) in &traces {
+            let sent = dagflow.replay_to(trace, *offset_ms, to, pace)?;
+            total.datagrams += sent.datagrams;
+            total.flows += sent.flows;
+            total.bytes += sent.bytes;
+        }
     }
-    let foreign: Vec<SubBlock> = (bed_cfg.blocks_per_peer
-        ..bed_cfg.n_peers * bed_cfg.blocks_per_peer)
-        .map(|i| SubBlock::from_linear(i).expect("in range"))
-        .collect();
-    let mut attack = Dagflow::new(DagflowConfig {
-        sources: AddressMapper::from_sub_blocks(foreign),
-        target_prefix: bed_cfg.target_prefix,
-        export_port: 9001,
-        input_if: 1,
-        src_as: 1,
-    });
-    let mut slammer =
-        AttackKind::Slammer.generate(&mut StdRng::seed_from_u64(cfg.seed ^ 0xbad), 1024);
-    pin_attack_source(&mut slammer.trace);
-    tally(attack.replay_to(&slammer.trace, bed_cfg.span_ms as u32 / 2, to, pace)?);
-    let mut host_scan =
-        AttackKind::HostScan.generate(&mut StdRng::seed_from_u64(cfg.seed ^ 0x5ca7), 1024);
-    pin_attack_source(&mut host_scan.trace);
-    tally(attack.replay_to(&host_scan.trace, bed_cfg.span_ms as u32 / 3, to, pace)?);
     Ok(total)
 }
 
@@ -297,7 +258,7 @@ mod tests {
     use infilter_core::Verdict;
 
     #[test]
-    fn smoke_run_exposes_every_family_and_records_the_attack() {
+    fn smoke_run_records_the_attack_in_every_document() {
         let report = run(ObserveConfig {
             flows_per_peer: 400,
             // Dagflow aggregates this workload into a few dozen datagrams;
@@ -306,11 +267,6 @@ mod tests {
             trace_sample_every: 1,
             ..ObserveConfig::default()
         });
-        assert_eq!(
-            missing_families(&report.exposition),
-            Vec::<&str>::new(),
-            "exposition must cover the advertised contract"
-        );
         assert_eq!(report.metrics.flows, report.wire_flows);
         assert!(report.metrics.attacks() > 0, "the Slammer burst must flag");
         assert!(
@@ -362,17 +318,5 @@ mod tests {
                 report.ops_json
             );
         }
-    }
-
-    #[test]
-    fn missing_families_flags_removals() {
-        let report = run(ObserveConfig {
-            flows_per_peer: 120,
-            ..ObserveConfig::default()
-        });
-        let truncated = report
-            .exposition
-            .replace("# TYPE infilter_flows_total ", "# TYPE renamed_total ");
-        assert_eq!(missing_families(&truncated), vec!["infilter_flows_total"]);
     }
 }

@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! infilterd --config infilterd.conf     # serve until POST /shutdown
+//! infilterd --config infilterd.conf     # serve until POST /v1/shutdown
 //! infilterd --smoke [seed]              # CI gate: loopback end-to-end run
 //! infilterd --smoke-restart [seed]      # CI gate: kill + warm-restart recovery
 //! infilterd --print-config              # dump the built-in defaults
@@ -107,12 +107,12 @@ fn main() {
 fn print_help() {
     println!(
         "infilterd — NetFlow v5 ingest daemon for the InFilter engine\n\n\
-         USAGE:\n  infilterd --config <path>        serve until POST /shutdown\n  \
+         USAGE:\n  infilterd --config <path>        serve until POST /v1/shutdown\n  \
          infilterd --smoke [seed]         run the loopback end-to-end gate\n  \
          infilterd --smoke-restart [seed] run the kill + warm-restart gate\n  \
          infilterd --print-config         dump a commented default config\n\n\
          The config file is `key = value` lines plus `peer <id> <prefix>`\n\
-         EIA entries; POST a fresh table to /reload to hot-swap the EIA\n\
+         EIA entries; POST a fresh table to /v1/reload to hot-swap the EIA\n\
          registry without a restart."
     );
 }

@@ -226,7 +226,7 @@ fn synthesize_training(
 }
 
 /// Spawns the daemon around a freshly bootstrapped engine and blocks
-/// until `POST /shutdown`, printing the final report. The `infilterd`
+/// until `POST /v1/shutdown`, printing the final report. The `infilterd`
 /// binary's serve path.
 ///
 /// # Errors
@@ -252,7 +252,7 @@ pub fn run_until_shutdown(cfg: &DaemonConfig, boot: &BootstrapConfig) -> Result<
         );
     }
     daemon.wait();
-    // Give the in-flight /shutdown response a beat to flush.
+    // Give the in-flight /v1/shutdown response a beat to flush.
     std::thread::sleep(Duration::from_millis(50));
     let report = daemon.shutdown();
     println!(

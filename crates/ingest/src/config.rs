@@ -5,7 +5,7 @@
 //! and degradation watermarks. The EIA table ([`parse_eia_table`]) is a
 //! separate file of `peer <id> <prefix>` lines so operators can hot-reload
 //! the expected-address sets (route changes, new customers) without
-//! restarting the collector — `POST /reload` with the new table re-parses
+//! restarting the collector — `POST /v1/reload` with the new table re-parses
 //! it and republishes the snapshot through the engine.
 
 use std::fmt;
@@ -27,8 +27,8 @@ use crate::ladder::LadderConfig;
 pub struct DaemonConfig {
     /// UDP socket NetFlow v5 exporters send to.
     pub listen: String,
-    /// TCP socket serving `/metrics`, `/alerts`, `/explain`, `/reload`,
-    /// `/healthz`.
+    /// TCP socket serving the control plane (`/v1/metrics`, `/v1/alerts`,
+    /// `/v1/reload`, `/v1/healthz`, …).
     pub serve: String,
     /// UDP listener threads decoding datagrams into the intake rings.
     pub listeners: usize,
@@ -384,7 +384,7 @@ impl DaemonConfig {
 }
 
 /// Parses an EIA table (`peer <id> <prefix>` lines, `#` comments) — the
-/// body `POST /reload` accepts. `key = value` daemon directives are
+/// body `POST /v1/reload` accepts. `key = value` daemon directives are
 /// skipped, so operators can reload straight from the full config file
 /// they serve with (`--data-binary @infilterd.conf`); only the peer
 /// lines take effect, and anything else is still an error.

@@ -15,8 +15,8 @@
 //! * **One control thread** serves HTTP on the `serve` socket. The
 //!   surface is versioned under `/v1/` (`/v1/metrics`, `/v1/alerts`,
 //!   `/v1/explain`, `/v1/ops`, `/v1/store`, `/v1/reload`,
-//!   `/v1/shutdown`, …) with the original unversioned paths kept as
-//!   aliases; one table ([`ROUTES`]) defines every route. Requests that
+//!   `/v1/shutdown`, …); one table ([`ROUTES`]) defines every route, each
+//!   under one spelling, and anything else is a 404. Requests that
 //!   need engine state are forwarded to the worker over a channel with a
 //!   per-request reply channel; `/healthz` answers locally (from the
 //!   shared [`SnapshotHealth`]), so liveness checks keep working even if
@@ -232,12 +232,12 @@ impl Daemon {
         self.http_addr
     }
 
-    /// Whether `POST /shutdown` has been received.
+    /// Whether `POST /v1/shutdown` has been received.
     pub fn stop_requested(&self) -> bool {
         self.stop_requested.load(Ordering::Relaxed)
     }
 
-    /// Blocks until `POST /shutdown` arrives on the control plane.
+    /// Blocks until `POST /v1/shutdown` arrives on the control plane.
     pub fn wait(&self) {
         while !self.stop_requested() {
             std::thread::sleep(Duration::from_millis(50));
@@ -395,34 +395,26 @@ enum Route {
     Shutdown,
 }
 
-/// The control-plane routing table: `(method, unversioned path, route)`.
-/// Each entry is served both at its canonical versioned path
-/// (`/v1/metrics`) and at the legacy unversioned alias (`/metrics`).
+/// The control-plane routing table: `(method, path, route)`. A route has
+/// this one spelling; the README's route table is generated from here.
 const ROUTES: &[(&str, &str, Route)] = &[
-    ("GET", "/healthz", Route::Healthz),
-    ("GET", "/metrics", Route::Metrics),
-    ("GET", "/alerts", Route::Alerts),
-    ("GET", "/explain", Route::Explain),
-    ("GET", "/ops", Route::Ops),
-    ("GET", "/store", Route::Store),
-    ("GET", "/trace", Route::Trace),
-    ("GET", "/events", Route::Events),
-    ("POST", "/reload", Route::Reload),
-    ("POST", "/shutdown", Route::Shutdown),
+    ("GET", "/v1/healthz", Route::Healthz),
+    ("GET", "/v1/metrics", Route::Metrics),
+    ("GET", "/v1/alerts", Route::Alerts),
+    ("GET", "/v1/explain", Route::Explain),
+    ("GET", "/v1/ops", Route::Ops),
+    ("GET", "/v1/store", Route::Store),
+    ("GET", "/v1/trace", Route::Trace),
+    ("GET", "/v1/events", Route::Events),
+    ("POST", "/v1/reload", Route::Reload),
+    ("POST", "/v1/shutdown", Route::Shutdown),
 ];
 
-/// Resolves a request line against [`ROUTES`], accepting both the
-/// versioned (`/v1/...`) and legacy unversioned spellings.
+/// Resolves a request line against [`ROUTES`].
 fn resolve_route(method: &str, path_only: &str) -> Option<Route> {
-    let unversioned = match path_only.strip_prefix("/v1") {
-        // `/v1/metrics` → `/metrics`; a bare `/v1` or `/v1x...` is not a
-        // versioned path.
-        Some(rest) if rest.starts_with('/') => rest,
-        _ => path_only,
-    };
     ROUTES
         .iter()
-        .find(|(m, p, _)| *m == method && *p == unversioned)
+        .find(|(m, p, _)| *m == method && *p == path_only)
         .map(|&(_, _, route)| route)
 }
 
@@ -436,6 +428,10 @@ fn handle_request(
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     let (request_line, body) = read_request(&mut stream)?;
+    let Some(body) = body else {
+        let refusal = format!("request body exceeds {MAX_BODY} bytes\n");
+        return respond(&mut stream, "413 Payload Too Large", "text/plain", &refusal);
+    };
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
@@ -451,50 +447,32 @@ fn handle_request(
                 health.age_seconds()
             ),
         ),
-        Some(Route::Metrics) => match ask(ctl, Control::Metrics) {
-            Some(page) => ("200 OK", "text/plain; version=0.0.4", page),
-            None => unavailable(),
-        },
+        Some(Route::Metrics) => {
+            worker_reply("text/plain; version=0.0.4", ask(ctl, Control::Metrics))
+        }
         Some(Route::Alerts) => {
             let max = query_param(path, "max").unwrap_or(0);
-            match ask(ctl, |reply| Control::Alerts(max, reply)) {
-                Some(alerts) => {
-                    let xml: String = alerts.iter().map(|a| a.to_xml() + "\n").collect();
-                    ("200 OK", "application/xml", xml)
-                }
-                None => unavailable(),
-            }
+            let alerts = ask(ctl, |reply| Control::Alerts(max, reply));
+            let xml = alerts.map(|alerts| alerts.iter().map(|a| a.to_xml() + "\n").collect());
+            worker_reply("application/xml", xml)
         }
         Some(Route::Explain) => {
             let n = query_param(path, "n").unwrap_or(16);
-            match ask(ctl, |reply| Control::Explain(n, reply)) {
-                Some(decisions) => {
-                    let text: String = decisions.iter().map(|d| d.describe() + "\n").collect();
-                    ("200 OK", "text/plain", text)
-                }
-                None => unavailable(),
-            }
+            let trail = ask(ctl, |reply| Control::Explain(n, reply));
+            let text = trail.map(|trail| trail.iter().map(|d| d.describe() + "\n").collect());
+            worker_reply("text/plain", text)
         }
         Some(Route::Ops) => {
             let n = query_param(path, "window").unwrap_or(12);
-            match ask(ctl, |reply| Control::Ops(n, reply)) {
-                Some(json) => ("200 OK", "application/json", json),
-                None => unavailable(),
-            }
+            worker_reply("application/json", ask(ctl, |reply| Control::Ops(n, reply)))
         }
-        Some(Route::Store) => match ask(ctl, Control::Store) {
-            Some(json) => ("200 OK", "application/json", json),
-            None => unavailable(),
-        },
+        Some(Route::Store) => worker_reply("application/json", ask(ctl, Control::Store)),
         Some(Route::Reload) => match parse_eia_table(&body) {
-            Ok(peers) => match ask(ctl, |reply| Control::Reload(peers, reply)) {
-                Some(prefixes) => (
-                    "200 OK",
-                    "text/plain",
-                    format!("reloaded {prefixes} prefixes\n"),
-                ),
-                None => unavailable(),
-            },
+            Ok(peers) => {
+                let prefixes = ask(ctl, |reply| Control::Reload(peers, reply));
+                let text = prefixes.map(|n: usize| format!("reloaded {n} prefixes\n"));
+                worker_reply("text/plain", text)
+            }
             Err(e) => (
                 "400 Bad Request",
                 "text/plain",
@@ -530,6 +508,15 @@ fn handle_request(
         ),
     };
 
+    respond(&mut stream, status, content_type, &body)
+}
+
+fn respond(
+    stream: &mut TcpStream,
+    status: &str,
+    content_type: &str,
+    body: &str,
+) -> std::io::Result<()> {
     let head = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
@@ -538,15 +525,23 @@ fn handle_request(
     stream.write_all(body.as_bytes())
 }
 
-fn unavailable() -> (&'static str, &'static str, String) {
-    (
-        "503 Service Unavailable",
-        "text/plain",
-        "worker unavailable\n".to_string(),
-    )
+/// The response to a worker-backed route: the worker's reply, or a 503
+/// when it is gone or silent past [`REPLY_TIMEOUT`].
+fn worker_reply(
+    content_type: &'static str,
+    reply: Option<String>,
+) -> (&'static str, &'static str, String) {
+    match reply {
+        Some(body) => ("200 OK", content_type, body),
+        None => (
+            "503 Service Unavailable",
+            "text/plain",
+            "worker unavailable\n".to_string(),
+        ),
+    }
 }
 
-/// Extracts a numeric query parameter (`/alerts?max=50`).
+/// Extracts a numeric query parameter (`/v1/alerts?max=50`).
 fn query_param(path: &str, key: &str) -> Option<usize> {
     let query = path.split_once('?')?.1;
     query.split('&').find_map(|pair| {
@@ -566,8 +561,15 @@ where
     rx.recv_timeout(REPLY_TIMEOUT).ok()
 }
 
+/// Largest request body the control plane buffers. The only route with a
+/// body is `POST /v1/reload`; a line of its table is at most 31 bytes
+/// (`peer 65535 255.255.255.255/32`), so a million-prefix table fits.
+const MAX_BODY: usize = 32 * 1024 * 1024;
+
 /// Reads the request line, headers and (given `Content-Length`) the body.
-fn read_request(stream: &mut TcpStream) -> std::io::Result<(String, String)> {
+/// The length is the sender's claim: one above [`MAX_BODY`] is refused
+/// unread — the body comes back `None` and the caller answers 413.
+fn read_request(stream: &mut TcpStream) -> std::io::Result<(String, Option<String>)> {
     let mut raw = Vec::new();
     let mut buf = [0u8; 1024];
     let header_end = loop {
@@ -595,6 +597,9 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<(String, String)> {
                 .then(|| v.trim().parse::<usize>().ok())?
         })
         .unwrap_or(0);
+    if content_length > MAX_BODY {
+        return Ok((request_line, None));
+    }
     let mut body = raw[header_end.min(raw.len())..].to_vec();
     while body.len() < content_length {
         let n = stream.read(&mut buf)?;
@@ -604,7 +609,8 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<(String, String)> {
         body.extend_from_slice(&buf[..n]);
     }
     body.truncate(content_length);
-    Ok((request_line, String::from_utf8_lossy(&body).to_string()))
+    let body = String::from_utf8_lossy(&body).to_string();
+    Ok((request_line, Some(body)))
 }
 
 #[cfg(test)]
@@ -612,15 +618,57 @@ mod tests {
     use super::*;
 
     #[test]
-    fn versioned_and_legacy_paths_resolve_to_the_same_route() {
+    fn a_route_answers_to_its_one_spelling() {
         for (method, path, route) in ROUTES {
             assert_eq!(resolve_route(method, path), Some(*route));
-            assert_eq!(resolve_route(method, &format!("/v1{path}")), Some(*route));
+            let unversioned = path.strip_prefix("/v1").expect("every route is under /v1");
+            assert_eq!(resolve_route(method, unversioned), None);
         }
         assert_eq!(resolve_route("GET", "/v1"), None);
         assert_eq!(resolve_route("GET", "/v1metrics"), None);
-        assert_eq!(resolve_route("POST", "/metrics"), None);
-        assert_eq!(resolve_route("GET", "/nope"), None);
+        assert_eq!(resolve_route("POST", "/v1/metrics"), None);
+        assert_eq!(resolve_route("GET", "/v1/nope"), None);
+    }
+
+    /// The metric contract is what the renderers emit and the route
+    /// contract is [`ROUTES`]; the operator's copy of both is the block
+    /// between two markers in README "Monitoring", held here to a rendered
+    /// daemon page and the table byte for byte. Renaming, adding or
+    /// removing a family or a route fails this test until the block is
+    /// replaced with the one it prints.
+    #[test]
+    fn readme_reference_block_is_the_rendered_page_and_the_route_table() {
+        use std::fmt::Write as _;
+        let cfg = DaemonConfig::builder()
+            .mode(infilter_core::Mode::Basic)
+            .peer(PeerId(1), "3.0.0.0/11".parse().expect("static prefix"))
+            .build()
+            .expect("valid config");
+        let engine = crate::bootstrap::bootstrap_engine(&cfg, &Default::default())
+            .expect("basic mode needs no training");
+        let intake = Arc::new(Intake::new(1, 1, Arc::new(IngestMetrics::default())));
+        let page = IngestPump::new(engine, intake, cfg.ladder, 1, 1).prometheus_text();
+
+        let mut block = String::from("\n| family | type | help |\n|---|---|---|\n");
+        for (name, kind, help) in infilter_telemetry::page_families(&page) {
+            let _ = writeln!(block, "| `{name}` | {kind} | {help} |");
+        }
+        block.push_str("\n| method | route |\n|---|---|\n");
+        for (method, path, _) in ROUTES {
+            let _ = writeln!(block, "| {method} | `{path}` |");
+        }
+        block.push('\n');
+
+        let readme = include_str!("../../../README.md");
+        let found = readme
+            .split_once("<!-- reference:begin -->")
+            .and_then(|(_, rest)| rest.split_once("<!-- reference:end -->"))
+            .map(|(found, _)| found);
+        assert!(
+            found == Some(block.as_str()),
+            "README.md's reference block is stale. Between the reference:begin and \
+             reference:end markers it must read:\n{block}"
+        );
     }
 
     #[test]

@@ -14,17 +14,18 @@
 //!   depth for drain rate under load via the three-rung degradation
 //!   [`Ladder`]: full EI → skip NNS (EIA + scan) → BI only, driven by
 //!   queue-depth watermarks with hysteretic recovery.
-//! * **Control plane** ([`Daemon`]): `GET /metrics` (Prometheus text,
-//!   engine + `infilterd_*` families), `GET /alerts` (drained IDMEF XML),
-//!   `GET /explain` (flight-recorder trail), `POST /reload` (EIA
-//!   hot-reload through the snapshot republish machinery),
-//!   `POST /shutdown`, `GET /healthz`.
+//! * **Control plane** ([`Daemon`]): `GET /v1/metrics` (Prometheus text,
+//!   engine + `infilterd_*` families), `GET /v1/alerts` (drained IDMEF
+//!   XML), `GET /v1/explain` (flight-recorder trail), `POST /v1/reload`
+//!   (EIA hot-reload through the snapshot republish machinery),
+//!   `POST /v1/shutdown`, `GET /v1/healthz`, … — every route is under
+//!   `/v1/` and nowhere else.
 //! * **Shutdown** ([`Daemon::shutdown`]): drains every ring, flushes
 //!   buffered EIA adoptions, and returns a [`FinalReport`].
 //!
 //! The [`smoke`] module is the CI gate: Dagflow replays a Slammer-laced
-//! trace over real loopback UDP and asserts alerts fire and the metrics
-//! contract holds end to end.
+//! trace over real loopback UDP and asserts alerts fire, the counters add
+//! up and every route answers, end to end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,5 +43,5 @@ pub use config::{parse_eia_table, DaemonConfig, DaemonConfigBuilder, ParseError}
 pub use daemon::{Daemon, FinalReport};
 pub use intake::{Batch, BatchTrace, Intake};
 pub use ladder::{Ladder, LadderConfig, Transition};
-pub use metrics::{missing_ingest_families, IngestMetrics, IngestSnapshot, INGEST_FAMILIES};
+pub use metrics::{IngestMetrics, IngestSnapshot};
 pub use pump::IngestPump;

@@ -271,7 +271,7 @@ impl<E: Engine> IngestPump<E> {
         }
     }
 
-    /// Hot-reloads the EIA table from `peer` lines (the `/reload` route).
+    /// Hot-reloads the EIA table from `peer` lines (the `/v1/reload` route).
     /// With a store attached, the old adoption log no longer describes
     /// the hot-swapped registry, so the store is compacted against a
     /// fresh snapshot of the new table in the same breath.

@@ -45,13 +45,11 @@
 mod batch;
 mod cache;
 mod record;
-mod versions;
 mod wire;
 
 pub use batch::FlowBatch;
 pub use cache::{CacheConfig, ExpiryReason, FlowCache, PacketObs};
 pub use record::{FlowKey, FlowRecord, FlowStats};
-pub use versions::{decode_any, decode_v1, decode_v7, encode_v1, encode_v7};
 pub use wire::{Datagram, DecodeError, Header, MAX_RECORDS_PER_DATAGRAM};
 
 /// TCP FIN flag bit as it appears in NetFlow `tcp_flags`.

@@ -14,7 +14,9 @@
 //!   is skipped and counted in [`Ring::dropped`].
 //! * [`Family`] — a keyed family of default-constructed counter cells
 //!   (e.g. per-peer counters), read-lock fast path on the hot side.
-//! * [`PromText`] — a Prometheus text-format (0.0.4) exposition renderer.
+//! * [`PromText`] — a Prometheus text-format (0.0.4) exposition renderer,
+//!   and [`page_families`], which reads a rendered page's family
+//!   declarations back.
 //! * [`DeltaReporter`] — turns successive counter snapshots into
 //!   per-interval deltas and rates for periodic reporting.
 //! * [`trace`] — a sampled span tracer: head-based 1-in-N decisions
@@ -45,7 +47,7 @@ mod window;
 pub use family::Family;
 pub use histogram::{AtomicHistogram, Histogram, LatencySummary, BUCKETS, SUB_BUCKET_BITS};
 pub use journal::{Journal, SeqEvent};
-pub use prometheus::PromText;
+pub use prometheus::{page_families, PromText};
 pub use report::{DeltaReporter, RateSample};
 pub use ring::Ring;
 pub use sketch::{CountMin, Hll, SpaceSaving, TopEntry};

@@ -5,7 +5,7 @@
 //! histograms as cumulative `_bucket{le="..."}` series plus `_sum`/`_count`.
 
 use crate::histogram::Histogram;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 /// Incremental builder for one exposition page.
 ///
@@ -15,9 +15,6 @@ use std::fmt::Write as _;
 pub struct PromText {
     out: String,
 }
-
-/// One labelled sample in a family: `(label pairs, value)`.
-pub type Sample<'a> = (Vec<(&'a str, String)>, u64);
 
 impl PromText {
     /// Creates an empty page.
@@ -30,17 +27,24 @@ impl PromText {
         let _ = writeln!(self.out, "# TYPE {name} {kind}");
     }
 
-    fn sample(&mut self, name: &str, labels: &[(&str, String)], value: impl std::fmt::Display) {
+    fn family<V: Display>(
+        &mut self,
+        name: &str,
+        help: &str,
+        kind: &str,
+        label: &str,
+        samples: impl IntoIterator<Item = (V, u64)>,
+    ) {
+        self.head(name, help, kind);
+        for (labelled, value) in samples {
+            self.sample(name, Some((label, &labelled.to_string())), value);
+        }
+    }
+
+    fn sample(&mut self, name: &str, label: Option<(&str, &str)>, value: impl Display) {
         self.out.push_str(name);
-        if !labels.is_empty() {
-            self.out.push('{');
-            for (i, (key, val)) in labels.iter().enumerate() {
-                if i > 0 {
-                    self.out.push(',');
-                }
-                let _ = write!(self.out, "{key}=\"{}\"", escape_label(val));
-            }
-            self.out.push('}');
+        if let Some((key, val)) = label {
+            let _ = write!(self.out, "{{{key}=\"{}\"}}", escape_label(val));
         }
         let _ = writeln!(self.out, " {value}");
     }
@@ -48,29 +52,35 @@ impl PromText {
     /// An unlabelled counter.
     pub fn counter(&mut self, name: &str, help: &str, value: u64) {
         self.head(name, help, "counter");
-        self.sample(name, &[], value);
+        self.sample(name, None, value);
     }
 
-    /// A counter family with one sample per label set.
-    pub fn counter_family(&mut self, name: &str, help: &str, samples: &[Sample<'_>]) {
-        self.head(name, help, "counter");
-        for (labels, value) in samples {
-            self.sample(name, labels, value);
-        }
+    /// A counter family with one sample per value of its one label.
+    pub fn counter_family<V: Display>(
+        &mut self,
+        name: &str,
+        help: &str,
+        label: &str,
+        samples: impl IntoIterator<Item = (V, u64)>,
+    ) {
+        self.family(name, help, "counter", label, samples);
     }
 
     /// An unlabelled gauge.
     pub fn gauge(&mut self, name: &str, help: &str, value: f64) {
         self.head(name, help, "gauge");
-        self.sample(name, &[], value);
+        self.sample(name, None, value);
     }
 
-    /// A gauge family with one sample per label set.
-    pub fn gauge_family(&mut self, name: &str, help: &str, samples: &[Sample<'_>]) {
-        self.head(name, help, "gauge");
-        for (labels, value) in samples {
-            self.sample(name, labels, value);
-        }
+    /// A gauge family with one sample per value of its one label.
+    pub fn gauge_family<V: Display>(
+        &mut self,
+        name: &str,
+        help: &str,
+        label: &str,
+        samples: impl IntoIterator<Item = (V, u64)>,
+    ) {
+        self.family(name, help, "gauge", label, samples);
     }
 
     /// A histogram family: cumulative `_bucket{le=...}` counts for each of
@@ -81,30 +91,54 @@ impl PromText {
         self.head(name, help, "histogram");
         let bucket = format!("{name}_bucket");
         for &bound in bounds {
-            self.sample(
-                &bucket,
-                &[("le", bound.to_string())],
-                hist.count_le(bound).min(hist.count()),
-            );
+            let le = bound.to_string();
+            let count = hist.count_le(bound).min(hist.count());
+            self.sample(&bucket, Some(("le", &le)), count);
         }
-        self.sample(&bucket, &[("le", "+Inf".to_string())], hist.count());
-        self.sample(&format!("{name}_sum"), &[], hist.sum());
-        self.sample(&format!("{name}_count"), &[], hist.count());
+        self.sample(&bucket, Some(("le", "+Inf")), hist.count());
+        self.sample(&format!("{name}_sum"), None, hist.sum());
+        self.sample(&format!("{name}_count"), None, hist.count());
     }
 
-    /// A full-line comment. Prometheus parsers skip any `#` line that is
-    /// not `HELP`/`TYPE`, so this is the spec-safe place to attach
-    /// out-of-band annotations — e.g. exemplar trace IDs for a histogram.
-    /// `text` must not contain newlines (they would corrupt the page).
-    pub fn comment(&mut self, text: &str) {
-        debug_assert!(!text.contains('\n'), "comment must be one line");
-        let _ = writeln!(self.out, "# {}", text.replace('\n', " "));
+    /// Links a histogram's tail to a concrete trace: `exemplar` is the
+    /// worst `(value, trace_id)` seen, if any, written as a full-line
+    /// `# EXEMPLAR name value=V trace_id=N` comment. Prometheus parsers skip
+    /// any `#` line that is not `HELP`/`TYPE`, so this is the spec-safe
+    /// place for an out-of-band annotation.
+    pub fn exemplar(&mut self, name: &str, exemplar: Option<(u64, u64)>) {
+        if let Some((value, trace_id)) = exemplar {
+            let _ = writeln!(
+                self.out,
+                "# EXEMPLAR {name} value={value} trace_id={trace_id}"
+            );
+        }
     }
 
     /// Finishes the page.
     pub fn render(self) -> String {
         self.out
     }
+}
+
+/// Reads the family declarations back off a rendered page, in page order,
+/// as `(name, kind, help)`: every `# TYPE` line, with the text of the
+/// `# HELP` line [`PromText`] wrote above it. This is what makes the
+/// renderer the one place a family is declared — documentation and tests
+/// derive the list from a page instead of keeping a copy of it.
+pub fn page_families(page: &str) -> Vec<(&str, &str, &str)> {
+    let mut families = Vec::new();
+    let mut help = ("", "");
+    for line in page.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            help = rest.split_once(' ').unwrap_or((rest, ""));
+        } else if let Some((name, kind)) = line
+            .strip_prefix("# TYPE ")
+            .and_then(|rest| rest.split_once(' '))
+        {
+            families.push((name, kind, if help.0 == name { help.1 } else { "" }));
+        }
+    }
+    families
 }
 
 fn escape_help(help: &str) -> String {
@@ -134,10 +168,8 @@ mod tests {
         page.counter_family(
             "demo_peer_suspects_total",
             "Suspects per peer.",
-            &[
-                (vec![("peer", "1".to_string())], 3),
-                (vec![("peer", "2".to_string())], 9),
-            ],
+            "peer",
+            [(1, 3), (2, 9)],
         );
         page.gauge("demo_occupancy", "Buffered flows.", 2.5);
         page.histogram("demo_latency_ns", "Latency.", &hist, &[10, 100, 1_000]);
@@ -162,6 +194,16 @@ demo_latency_ns_sum 984
 demo_latency_ns_count 4
 ";
         assert_eq!(page.render(), expected);
+        assert_eq!(
+            page_families(expected),
+            vec![
+                ("demo_flows_total", "counter", "Flows processed."),
+                ("demo_peer_suspects_total", "counter", "Suspects per peer."),
+                ("demo_occupancy", "gauge", "Buffered flows."),
+                ("demo_latency_ns", "histogram", "Latency."),
+            ],
+            "the page reads back as the families it declares, in order"
+        );
     }
 
     #[test]
@@ -170,7 +212,8 @@ demo_latency_ns_count 4
         page.counter_family(
             "demo_total",
             "Help with\nnewline and \\ slash.",
-            &[(vec![("name", "quo\"te\\path\nline".to_string())], 1)],
+            "name",
+            [("quo\"te\\path\nline", 1)],
         );
         let out = page.render();
         assert!(out.contains("# HELP demo_total Help with\\nnewline and \\\\ slash."));

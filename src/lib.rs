@@ -29,7 +29,7 @@ pub mod prelude {
         Analyzer, AnalyzerConfig, AnalyzerConfigBuilder, AnalyzerMetrics, AttackStage,
         ConcurrentAnalyzer, ConcurrentConfig, ConfigError, Effort, EiaRegistry, EiaSnapshot,
         Engine, FlowDecision, IdmefAlert, Mode, PeerId, PipelineTelemetry, TelemetryConfig,
-        Trainer, Verdict, METRIC_FAMILIES,
+        Trainer, Verdict,
     };
     pub use infilter_netflow::{Datagram, FlowRecord};
     pub use infilter_nns::NnsParams;
