@@ -1,37 +1,19 @@
 //! Shared fixtures for the Criterion benchmarks.
 //!
-//! The benches regenerate the paper's §6.4 latency numbers (BI vs EI
-//! per-flow processing) and add the ablation sweeps DESIGN.md calls out:
-//! KOR structure build/search cost against its parameters, plus substrate
-//! micro-benchmarks (NetFlow codec, prefix-trie lookup).
+//! The benches price the collector's layers one at a time: the NetFlow
+//! codec and prefix trie (`substrate`), the frozen LPM (`lpm`), the NNS
+//! hot-path layout (`nns_hotpath`), the telemetry and sketch primitives,
+//! and the pump step with its degradation rungs (`ingest`). The paper's
+//! §6.4 latency table is `exp-latency`; socket-to-verdict cost is
+//! `e2ebench/`.
 
 #![forbid(unsafe_code)]
 
-use infilter_core::{Analyzer, Mode, PeerId};
-use infilter_experiments::{Testbed, TestbedConfig};
+use infilter_core::PeerId;
 use infilter_net::Prefix;
 use infilter_netflow::FlowRecord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Builds a trained analyzer plus a pre-generated stream of flows to feed
-/// it, using the full-scale testbed configuration.
-pub fn analyzer_with_stream(mode: Mode, seed: u64) -> (Analyzer, Vec<(PeerId, FlowRecord)>) {
-    let cfg = TestbedConfig {
-        mode,
-        route_change_pct: 2,
-        seed,
-        ..TestbedConfig::default()
-    };
-    let bed = Testbed::new(cfg);
-    let analyzer = bed.train();
-    let stream = bed
-        .generate_workload()
-        .into_iter()
-        .map(|lf| (lf.peer, lf.record))
-        .collect();
-    (analyzer, stream)
-}
 
 /// A synthetic EIA peer table at realistic routing-table density, for the
 /// LPM benches: the bulk of entries are /16–/24 (real feeds peak hard at

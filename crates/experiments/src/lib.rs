@@ -23,7 +23,6 @@ pub mod alert_ui;
 pub mod baselines;
 pub mod figures;
 pub mod init;
-pub mod observe;
 pub mod report;
 pub mod testbed;
 pub mod validation;

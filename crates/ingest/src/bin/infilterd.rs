@@ -7,6 +7,7 @@
 //! infilterd --config infilterd.conf     # serve until POST /v1/shutdown
 //! infilterd --smoke [seed]              # CI gate: loopback end-to-end run
 //! infilterd --smoke-restart [seed]      # CI gate: kill + warm-restart recovery
+//! infilterd --replay-to ADDR [seed]     # ship the smoke workload to a running collector
 //! infilterd --print-config              # dump the built-in defaults
 //! ```
 
@@ -20,7 +21,28 @@ fn main() {
         return;
     }
     if args.iter().any(|a| a == "--print-config") {
-        print_default_config();
+        print!(
+            "# infilterd defaults\n{}\n# peer 1 3.0.0.0/11\n# peer 2 3.32.0.0/11\n",
+            DaemonConfig::default().render()
+        );
+        return;
+    }
+    if let Some(i) = args.iter().position(|a| a == "--replay-to") {
+        let Some(addr) = args.get(i + 1) else {
+            eprintln!("--replay-to needs ADDR:PORT");
+            std::process::exit(2);
+        };
+        let seed = args.get(i + 2).and_then(|s| s.parse().ok()).unwrap_or(42);
+        match smoke::replay_workload(seed, addr.as_str()) {
+            Ok(sent) => println!(
+                "replayed {} flows in {} datagrams ({} bytes) to udp://{addr}",
+                sent.flows, sent.datagrams, sent.bytes
+            ),
+            Err(e) => {
+                eprintln!("replay to {addr} failed: {e}");
+                std::process::exit(1);
+            }
+        }
         return;
     }
     if args.iter().any(|a| a == "--smoke-restart") {
@@ -110,38 +132,10 @@ fn print_help() {
          USAGE:\n  infilterd --config <path>        serve until POST /v1/shutdown\n  \
          infilterd --smoke [seed]         run the loopback end-to-end gate\n  \
          infilterd --smoke-restart [seed] run the kill + warm-restart gate\n  \
+         infilterd --replay-to ADDR [seed] ship the smoke workload to a collector\n  \
          infilterd --print-config         dump a commented default config\n\n\
          The config file is `key = value` lines plus `peer <id> <prefix>`\n\
          EIA entries; POST a fresh table to /v1/reload to hot-swap the EIA\n\
          registry without a restart."
-    );
-}
-
-fn print_default_config() {
-    let d = DaemonConfig::default();
-    println!(
-        "# infilterd defaults\nlisten = {}\nserve = {}\nlisteners = {}\nrings = {}\n\
-         ring_capacity = {}\nshards = {}\nmode = enhanced\nbatch_budget = {}\n\
-         alert_spool = {}\nskip_nns_above = {}\nbi_only_above = {}\nrecover_below = {}\n\
-         recover_after = {}\ntrace_sample_every = {}\ntrace_capacity = {}\n\
-         journal_capacity = {}\n\n[store]\n# dir = /var/lib/infilterd/eia\n\
-         segment_bytes = {}\ncompact_every = {}\n\n# peer 1 3.0.0.0/11\n# peer 2 3.32.0.0/11",
-        d.listen,
-        d.serve,
-        d.listeners,
-        d.rings,
-        d.ring_capacity,
-        d.shards,
-        d.batch_budget,
-        d.alert_spool,
-        d.ladder.skip_nns_above,
-        d.ladder.bi_only_above,
-        d.ladder.recover_below,
-        d.ladder.recover_after,
-        d.trace_sample_every,
-        d.trace_capacity,
-        d.journal_capacity,
-        d.store_segment_bytes,
-        d.store_compact_every,
     );
 }

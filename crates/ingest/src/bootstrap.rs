@@ -242,8 +242,8 @@ pub fn run_until_shutdown(cfg: &DaemonConfig, boot: &BootstrapConfig) -> Result<
         daemon.http_addr()
     );
     println!(
-        "routes: /v1/{{metrics alerts explain ops store trace events healthz reload shutdown}} \
-         (unversioned aliases kept)"
+        "routes: {}",
+        crate::daemon::route_paths().collect::<Vec<_>>().join(" ")
     );
     if warm.0 {
         println!(

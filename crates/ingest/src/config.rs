@@ -20,8 +20,7 @@ use crate::ladder::LadderConfig;
 ///
 /// Marked `#[non_exhaustive]`: out-of-crate construction goes through
 /// [`DaemonConfig::builder`] (which validates) or [`DaemonConfig::parse`],
-/// so new knobs — like the `store_*` family this struct just grew — can
-/// keep arriving without breaking callers.
+/// so new knobs can keep arriving without breaking callers.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct DaemonConfig {
@@ -295,53 +294,33 @@ impl DaemonConfig {
             } else {
                 key
             };
-            match key {
-                "listen" => cfg.listen = value.to_string(),
-                "serve" => cfg.serve = value.to_string(),
-                "listeners" => cfg.listeners = parse_num(key, value, n)?,
-                "rings" => cfg.rings = parse_num(key, value, n)?,
-                "ring_capacity" => cfg.ring_capacity = parse_num(key, value, n)?,
-                "shards" => cfg.shards = parse_num(key, value, n)?,
-                "batch_budget" => cfg.batch_budget = parse_num(key, value, n)?,
-                "alert_spool" => cfg.alert_spool = parse_num(key, value, n)?,
-                "trace_sample_every" => cfg.trace_sample_every = parse_num(key, value, n)?,
-                "trace_capacity" => cfg.trace_capacity = parse_num(key, value, n)?,
-                "journal_capacity" => cfg.journal_capacity = parse_num(key, value, n)?,
-                "shape_sample_every" => cfg.shape_sample_every = parse_num(key, value, n)?,
-                "shape_top_k" => cfg.shape_top_k = parse_num(key, value, n)?,
-                "shape_window_secs" => cfg.shape_window_secs = parse_num(key, value, n)?,
-                "shape_windows" => cfg.shape_windows = parse_num(key, value, n)?,
-                "drift_threshold" => cfg.drift_threshold = parse_frac(key, value, n)?,
-                "peer_family_cap" => cfg.peer_family_cap = parse_num(key, value, n)?,
-                "mode" => {
-                    cfg.mode = match value {
-                        "basic" | "bi" => Mode::Basic,
-                        "enhanced" | "ei" => Mode::Enhanced,
-                        other => return Err(err(n, format!("unknown mode `{other}`"))),
-                    }
-                }
-                "skip_nns_above" => cfg.ladder.skip_nns_above = parse_frac(key, value, n)?,
-                "bi_only_above" => cfg.ladder.bi_only_above = parse_frac(key, value, n)?,
-                "recover_below" => cfg.ladder.recover_below = parse_frac(key, value, n)?,
-                "recover_after" => cfg.ladder.recover_after = parse_num(key, value, n)?,
-                "store_dir" => {
-                    cfg.store_dir = (!value.is_empty()).then(|| value.to_string());
-                }
-                "store_segment_bytes" => cfg.store_segment_bytes = parse_num(key, value, n)?,
-                "store_compact_every" => cfg.store_compact_every = parse_num(key, value, n)?,
-                other => {
-                    let why = match suggest_key(other) {
-                        Some(known) => {
-                            format!("unknown key `{other}` (did you mean `{known}`?)")
-                        }
-                        None => format!("unknown key `{other}`"),
-                    };
-                    return Err(err(n, why));
-                }
-            }
+            let Some(known) = KEYS.iter().find(|k| k.name == key) else {
+                let why = match suggest_key(key) {
+                    Some(near) => format!("unknown key `{key}` (did you mean `{near}`?)"),
+                    None => format!("unknown key `{key}`"),
+                };
+                return Err(err(n, why));
+            };
+            (known.set)(&mut cfg, value, n)?;
         }
         cfg.validate().map_err(|why| err(0, why))?;
         Ok(cfg)
+    }
+
+    /// Writes the config in the format [`DaemonConfig::parse`] reads: every
+    /// key (the store's under their flat `store_*` spellings, so lines
+    /// appended to the output are not read as `[store]` keys), then the
+    /// `peer` lines. Parsing the result gives `self` back.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for key in KEYS {
+            out.push_str(format!("{} = {}", key.name, (key.get)(self)).trim_end());
+            out.push('\n');
+        }
+        for (peer, prefix) in &self.peers {
+            out.push_str(&format!("peer {} {prefix}\n", peer.0));
+        }
+        out
     }
 
     fn validate(&self) -> Result<(), String> {
@@ -412,41 +391,84 @@ pub fn parse_eia_table(text: &str) -> Result<Vec<(PeerId, Prefix)>, ParseError> 
     Ok(peers)
 }
 
-/// Every key [`DaemonConfig::parse`] accepts, for typo suggestions.
-const KNOWN_KEYS: &[&str] = &[
-    "listen",
-    "serve",
-    "listeners",
-    "rings",
-    "ring_capacity",
-    "shards",
-    "batch_budget",
-    "alert_spool",
-    "trace_sample_every",
-    "trace_capacity",
-    "journal_capacity",
-    "shape_sample_every",
-    "shape_top_k",
-    "shape_window_secs",
-    "shape_windows",
-    "drift_threshold",
-    "peer_family_cap",
-    "mode",
-    "skip_nns_above",
-    "bi_only_above",
-    "recover_below",
-    "recover_after",
-    "store_dir",
-    "store_segment_bytes",
-    "store_compact_every",
+/// One `key = value` directive: how its value is read into the config and
+/// how the config's value is written back.
+struct Key {
+    name: &'static str,
+    set: fn(&mut DaemonConfig, &str, usize) -> Result<(), ParseError>,
+    get: fn(&DaemonConfig) -> String,
+}
+
+/// A key whose value is one field read by `$parse` and written by `Display`.
+macro_rules! field_key {
+    ($name:literal, $parse:ident, $($field:tt)+) => {
+        Key {
+            name: $name,
+            set: |cfg, value, n| {
+                cfg.$($field)+ = $parse($name, value, n)?;
+                Ok(())
+            },
+            get: |cfg| cfg.$($field)+.to_string(),
+        }
+    };
+}
+
+/// Every key [`DaemonConfig::parse`] accepts — the one declaration the
+/// parser, the typo suggestions and [`DaemonConfig::render`] all walk.
+const KEYS: &[Key] = &[
+    field_key!("listen", parse_text, listen),
+    field_key!("serve", parse_text, serve),
+    field_key!("listeners", parse_num, listeners),
+    field_key!("rings", parse_num, rings),
+    field_key!("ring_capacity", parse_num, ring_capacity),
+    field_key!("shards", parse_num, shards),
+    Key {
+        name: "mode",
+        set: |cfg, value, n| {
+            cfg.mode = match value {
+                "basic" | "bi" => Mode::Basic,
+                "enhanced" | "ei" => Mode::Enhanced,
+                other => return Err(err(n, format!("unknown mode `{other}`"))),
+            };
+            Ok(())
+        },
+        get: |cfg| match cfg.mode {
+            Mode::Basic => "basic".to_string(),
+            Mode::Enhanced => "enhanced".to_string(),
+        },
+    },
+    field_key!("batch_budget", parse_num, batch_budget),
+    field_key!("alert_spool", parse_num, alert_spool),
+    field_key!("skip_nns_above", parse_frac, ladder.skip_nns_above),
+    field_key!("bi_only_above", parse_frac, ladder.bi_only_above),
+    field_key!("recover_below", parse_frac, ladder.recover_below),
+    field_key!("recover_after", parse_num, ladder.recover_after),
+    field_key!("trace_sample_every", parse_num, trace_sample_every),
+    field_key!("trace_capacity", parse_num, trace_capacity),
+    field_key!("journal_capacity", parse_num, journal_capacity),
+    field_key!("shape_sample_every", parse_num, shape_sample_every),
+    field_key!("shape_top_k", parse_num, shape_top_k),
+    field_key!("shape_window_secs", parse_num, shape_window_secs),
+    field_key!("shape_windows", parse_num, shape_windows),
+    field_key!("drift_threshold", parse_frac, drift_threshold),
+    field_key!("peer_family_cap", parse_num, peer_family_cap),
+    Key {
+        name: "store_dir",
+        set: |cfg, value, _| {
+            cfg.store_dir = (!value.is_empty()).then(|| value.to_string());
+            Ok(())
+        },
+        get: |cfg| cfg.store_dir.clone().unwrap_or_default(),
+    },
+    field_key!("store_segment_bytes", parse_num, store_segment_bytes),
+    field_key!("store_compact_every", parse_num, store_compact_every),
 ];
 
 /// The nearest known key within a small edit distance, if any — enough to
 /// turn `skip_nns_abvoe` into an actionable error.
 fn suggest_key(unknown: &str) -> Option<&'static str> {
-    KNOWN_KEYS
-        .iter()
-        .map(|&k| (edit_distance(unknown, k), k))
+    KEYS.iter()
+        .map(|k| (edit_distance(unknown, k.name), k.name))
         .min()
         .filter(|&(d, k)| d <= 2 || d * 3 <= k.len())
         .map(|(_, k)| k)
@@ -483,6 +505,10 @@ fn parse_peer_line(rest: &str, n: usize) -> Result<(PeerId, Prefix), ParseError>
         return Err(err(n, "trailing tokens after `peer <id> <prefix>`"));
     }
     Ok((PeerId(id), prefix))
+}
+
+fn parse_text(_key: &str, value: &str, _n: usize) -> Result<String, ParseError> {
+    Ok(value.to_string())
 }
 
 fn parse_num<T: std::str::FromStr>(key: &str, value: &str, n: usize) -> Result<T, ParseError> {
@@ -611,6 +637,61 @@ mod tests {
         let e = DaemonConfig::parse("zzzzqqqq = 1\n").unwrap_err();
         assert!(e.why.contains("unknown key"), "{e}");
         assert!(!e.why.contains("did you mean"), "{e}");
+    }
+
+    /// A value for `key` its parser accepts and that reads back different
+    /// from the default's.
+    fn off_default(key: &Key, default: &DaemonConfig) -> String {
+        let was = (key.get)(default);
+        let candidates = [
+            was.parse::<u64>().ok().map(|n| (n + 1).to_string()),
+            was.parse::<f64>().ok().map(|x| (x / 2.0).to_string()),
+            Some(format!("{was}7")),
+            Some("basic".to_string()),
+        ];
+        candidates
+            .into_iter()
+            .flatten()
+            .find(|value| {
+                let mut probe = default.clone();
+                (key.set)(&mut probe, value, 0).is_ok() && (key.get)(&probe) != was
+            })
+            .unwrap_or_else(|| panic!("no off-default candidate for `{}`", key.name))
+    }
+
+    #[test]
+    fn a_rendered_config_parses_back_to_itself() {
+        let default = DaemonConfig::default();
+        assert_eq!(
+            DaemonConfig::parse(&default.render()).expect("the default renders valid"),
+            default
+        );
+        // Every key the parser accepts, moved off its default: a key that
+        // `render` forgot (or wrote wrongly) comes back as the default.
+        let mut cfg = default.clone();
+        cfg.peers = vec![
+            (PeerId(1), "3.0.0.0/11".parse().unwrap()),
+            (PeerId(2), "3.32.0.0/11".parse().unwrap()),
+        ];
+        for key in KEYS {
+            (key.set)(&mut cfg, &off_default(key, &default), 0).expect("accepted above");
+        }
+        assert_eq!(
+            DaemonConfig::parse(&cfg.render()).expect("renders valid"),
+            cfg
+        );
+    }
+
+    #[test]
+    fn every_key_is_suggested_for_its_own_typo() {
+        for key in KEYS {
+            let typo = &key.name[..key.name.len() - 1];
+            let e = DaemonConfig::parse(&format!("{typo} = 1\n")).unwrap_err();
+            assert!(
+                e.why.contains(&format!("did you mean `{}`?", key.name)),
+                "`{typo}`: {e}"
+            );
+        }
     }
 
     #[test]

@@ -410,6 +410,11 @@ const ROUTES: &[(&str, &str, Route)] = &[
     ("POST", "/v1/shutdown", Route::Shutdown),
 ];
 
+/// Every route's path, in table order (the boot banner prints them).
+pub(crate) fn route_paths() -> impl Iterator<Item = &'static str> {
+    ROUTES.iter().map(|&(_, path, _)| path)
+}
+
 /// Resolves a request line against [`ROUTES`].
 fn resolve_route(method: &str, path_only: &str) -> Option<Route> {
     ROUTES

@@ -7,12 +7,12 @@
 //! holds the README reference block to them.)
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, UdpSocket};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs, UdpSocket};
 use std::time::{Duration, Instant};
 
-use infilter_dagflow::{eia_table, AddressMapper, Dagflow, DagflowConfig};
+use infilter_dagflow::{eia_table, AddressMapper, Dagflow, DagflowConfig, UdpReplayStats};
 use infilter_net::SubBlock;
-use infilter_traffic::{AttackKind, NormalProfile};
+use infilter_traffic::{AttackKind, NormalProfile, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,6 +24,56 @@ use crate::Daemon;
 /// an unpaced burst of ~100 datagrams drops at the kernel and the smoke
 /// flakes on loaded CI machines.
 const SEND_PACE: Duration = Duration::from_micros(400);
+
+/// Sub-blocks per peer in the gate's two-peer EIA table.
+const BLOCKS_PER_PEER: usize = 40;
+
+/// Ships the gate's workload to a NetFlow v5 collector at `to` over real
+/// UDP: two peers' normal traffic from their own blocks, then a Slammer
+/// spray and a host scan sourced from peer 2's blocks but exported through
+/// peer 1 (§6.3.1 placement). [`run_smoke`] aims it at the daemon it
+/// spawned, `infilterd --replay-to` at one already running.
+///
+/// # Errors
+///
+/// Propagates socket bind/send failures.
+pub fn replay_workload<A: ToSocketAddrs + Copy>(
+    seed: u64,
+    to: A,
+) -> std::io::Result<UdpReplayStats> {
+    let eia = eia_table(2, BLOCKS_PER_PEER);
+    let exporter = |blocks: &[SubBlock], peer: u16| {
+        Dagflow::new(DagflowConfig {
+            sources: AddressMapper::from_sub_blocks(blocks.iter().copied()),
+            target_prefix: BootstrapConfig::default().target_prefix,
+            export_port: 9000 + peer,
+            input_if: peer,
+            src_as: peer,
+        })
+    };
+    let mut total = UdpReplayStats::default();
+    let mut send = |dagflow: &mut Dagflow, trace: &Trace, offset_ms: u32| -> std::io::Result<()> {
+        let sent = dagflow.replay_to(trace, offset_ms, to, SEND_PACE)?;
+        total.datagrams += sent.datagrams;
+        total.flows += sent.flows;
+        total.bytes += sent.bytes;
+        Ok(())
+    };
+    for (peer, blocks) in eia.iter().enumerate() {
+        let trace = NormalProfile::default().generate(
+            &mut StdRng::seed_from_u64(seed ^ (0xa0 + peer as u64)),
+            400,
+            30_000,
+        );
+        send(&mut exporter(blocks, peer as u16 + 1), &trace, 0)?;
+    }
+    let mut attack = exporter(&eia[1], 1);
+    let slammer = AttackKind::Slammer.generate(&mut StdRng::seed_from_u64(seed ^ 0xbad), 1024);
+    send(&mut attack, &slammer.trace, 15_000)?;
+    let host_scan = AttackKind::HostScan.generate(&mut StdRng::seed_from_u64(seed ^ 0x5ca7), 1024);
+    send(&mut attack, &host_scan.trace, 10_000)?;
+    Ok(total)
+}
 
 /// What the smoke run measured; printed by `infilterd --smoke`.
 #[derive(Debug)]
@@ -46,13 +96,15 @@ pub struct SmokeReport {
 ///
 /// Returns a human-readable description of the first failed assertion.
 pub fn run_smoke(seed: u64) -> Result<SmokeReport, String> {
-    let blocks_per_peer = 40;
-    let eia = eia_table(2, blocks_per_peer);
+    let eia = eia_table(2, BLOCKS_PER_PEER);
     let mut builder = DaemonConfig::builder()
         .listeners(2)
         .rings(2)
         .ring_capacity(256)
-        .shards(2);
+        .shards(2)
+        // Trace every datagram, so the attack datagrams' suspect-path spans
+        // are among the retained traces whatever the sampler's phase.
+        .trace_sample_every(1);
     for (i, blocks) in eia.iter().enumerate() {
         for b in blocks {
             builder = builder.peer(infilter_core::PeerId(i as u16 + 1), b.prefix());
@@ -68,46 +120,8 @@ pub fn run_smoke(seed: u64) -> Result<SmokeReport, String> {
     let udp = daemon.udp_addr();
     let http = daemon.http_addr();
 
-    // Two peers' normal traffic, then the foreign-sourced attacks through
-    // peer 1 (§6.3.1 placement), all over real UDP.
-    let mut sent_flows = 0u64;
-    for (peer, blocks) in eia.iter().enumerate() {
-        let trace = NormalProfile::default().generate(
-            &mut StdRng::seed_from_u64(seed ^ (0xa0 + peer as u64)),
-            400,
-            30_000,
-        );
-        let mut dagflow = Dagflow::new(DagflowConfig {
-            sources: AddressMapper::from_sub_blocks(blocks.iter().copied()),
-            target_prefix: boot.target_prefix,
-            export_port: 9001 + peer as u16,
-            input_if: peer as u16 + 1,
-            src_as: peer as u16 + 1,
-        });
-        sent_flows += dagflow
-            .replay_to(&trace, 0, udp, SEND_PACE)
-            .map_err(|e| format!("normal replay: {e}"))?
-            .flows;
-    }
-    let foreign: Vec<SubBlock> = (blocks_per_peer..2 * blocks_per_peer)
-        .map(|i| SubBlock::from_linear(i).expect("in range"))
-        .collect();
-    let mut attack = Dagflow::new(DagflowConfig {
-        sources: AddressMapper::from_sub_blocks(foreign),
-        target_prefix: boot.target_prefix,
-        export_port: 9001,
-        input_if: 1,
-        src_as: 1,
-    });
-    let slammer = AttackKind::Slammer.generate(&mut StdRng::seed_from_u64(seed ^ 0xbad), 1024);
-    sent_flows += attack
-        .replay_to(&slammer.trace, 15_000, udp, SEND_PACE)
-        .map_err(|e| format!("slammer replay: {e}"))?
-        .flows;
-    let host_scan = AttackKind::HostScan.generate(&mut StdRng::seed_from_u64(seed ^ 0x5ca7), 1024);
-    sent_flows += attack
-        .replay_to(&host_scan.trace, 10_000, udp, SEND_PACE)
-        .map_err(|e| format!("host-scan replay: {e}"))?
+    let sent_flows = replay_workload(seed, udp)
+        .map_err(|e| format!("replay: {e}"))?
         .flows;
 
     // Malformed payloads: truncated, wrong version, and noise. All must be
@@ -161,6 +175,27 @@ pub fn run_smoke(seed: u64) -> Result<SmokeReport, String> {
     if !ops.starts_with('{') || !ops.contains("\"top_sources\"") || !ops.contains("\"peers\"") {
         return Err(format!("ops document malformed: {ops:?}"));
     }
+    // Enhanced mode with both attack shapes exercises every stage: the
+    // listener-side spans, the batch spans, and the suspect path's scan
+    // and NNS spans must all be on the trace page.
+    let trace = http_get(http, "/v1/trace?last=256")?;
+    for span in [
+        "recv",
+        "decode",
+        "queue_wait",
+        "eia",
+        "verdict",
+        "scan",
+        "nns",
+    ] {
+        if !trace.contains(&format!("\"name\":\"{span}\"")) {
+            return Err(format!("span `{span}` missing from /v1/trace:\n{trace}"));
+        }
+    }
+    let events = http_get(http, "/v1/events")?;
+    if !events.contains("\"kind\":\"alert\"") {
+        return Err(format!("alert events missing from /v1/events:\n{events}"));
+    }
     let alerts_xml = http_get(http, "/v1/alerts?max=50")?;
     let drained_alerts = alerts_xml.matches("<idmef:Alert").count();
     if drained_alerts == 0 {
@@ -170,14 +205,10 @@ pub fn run_smoke(seed: u64) -> Result<SmokeReport, String> {
         return Err("explain trail empty".into());
     }
 
-    // Hot-reload: re-POST the same table; the daemon must accept it and
-    // keep classifying (a wrong table here would flag the next poll).
-    let table: String = cfg
-        .peers
-        .iter()
-        .map(|(peer, prefix)| format!("peer {} {prefix}\n", peer.0))
-        .collect();
-    let reload = http_post(http, "/v1/reload", &table)?;
+    // Hot-reload: re-POST the same table, as the config file it came from
+    // (README step 4); the daemon must accept it and keep classifying (a
+    // wrong table here would flag the next poll).
+    let reload = http_post(http, "/v1/reload", &cfg.render())?;
     if !reload.contains("reloaded") {
         return Err(format!("reload failed: {reload}"));
     }

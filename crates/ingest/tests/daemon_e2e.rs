@@ -141,7 +141,8 @@ fn daemon_ingests_alerts_and_shuts_down_gracefully() {
     // /trace serves Chrome trace-event JSON with the full span pipeline:
     // every datagram is sampled above, so the listener-side spans (recv,
     // decode, queue_wait) and the engine spans (eia, verdict) must all be
-    // present. (scan/nns spans need Enhanced mode — covered by exp-observe.)
+    // present. (scan/nns spans need Enhanced mode — `infilterd --smoke`
+    // asserts them.)
     let trace = http_get(http, "/v1/trace?last=64").expect("trace route");
     assert!(
         trace.starts_with("{\"traceEvents\":["),

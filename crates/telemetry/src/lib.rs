@@ -17,8 +17,6 @@
 //! * [`PromText`] — a Prometheus text-format (0.0.4) exposition renderer,
 //!   and [`page_families`], which reads a rendered page's family
 //!   declarations back.
-//! * [`DeltaReporter`] — turns successive counter snapshots into
-//!   per-interval deltas and rates for periodic reporting.
 //! * [`trace`] — a sampled span tracer: head-based 1-in-N decisions
 //!   ([`Tracer`]), pre-allocated thread-local span buffers, a lock-free
 //!   collector ring of [`CompletedTrace`]s, Chrome trace-event export,
@@ -38,7 +36,6 @@ mod family;
 mod histogram;
 mod journal;
 mod prometheus;
-mod report;
 mod ring;
 mod sketch;
 pub mod trace;
@@ -48,7 +45,6 @@ pub use family::Family;
 pub use histogram::{AtomicHistogram, Histogram, LatencySummary, BUCKETS, SUB_BUCKET_BITS};
 pub use journal::{Journal, SeqEvent};
 pub use prometheus::{page_families, PromText};
-pub use report::{DeltaReporter, RateSample};
 pub use ring::Ring;
 pub use sketch::{CountMin, Hll, SpaceSaving, TopEntry};
 pub use trace::{chrome_trace_json, CompletedTrace, Exemplar, Span, Tracer, MAX_SPANS};
