@@ -10,9 +10,9 @@
 //!
 //! * **EIA check (every flow)** runs against the one [`EiaSnapshot`] the
 //!   engine keeps, published through a [`SnapshotCell`]: a shared-lock
-//!   acquire and a [`FrozenLpm`](infilter_net::FrozenLpm) lookup (≤ 3
-//!   memory touches), inside [`SnapshotCell::with`], so no handle to the
-//!   table outlives the lookup.
+//!   acquire and a [`FrozenLpm`](infilter_net::FrozenLpm) lookup (two to
+//!   six dependent loads), inside [`SnapshotCell::with`], so no handle to
+//!   the table outlives the lookup.
 //! * **Suspect analysis (rare)** is sharded by `(input_if, dst_addr)`:
 //!   each shard owns its own [`ScanAnalyzer`] buffer and alert queue
 //!   behind its own mutex, so suspects from unrelated destinations never
@@ -550,10 +550,12 @@ impl ConcurrentAnalyzer {
     ///
     /// Phase A classifies the source column against one snapshot's
     /// frozen LPM — no sort permutation needed, since a frozen lookup
-    /// costs the same constant number of memory touches for any input
-    /// order. Phase B applies bookkeeping in original flow order; EIA
-    /// matches never materialise the record unless telemetry samples it,
-    /// and suspects run the same `suspect_path` the per-flow entry uses. If
+    /// costs the same for any input order; the column is walked a level
+    /// at a time so its lookups overlap their cache misses
+    /// ([`EiaSnapshot::classify_batch_into`]). Phase B applies
+    /// bookkeeping in original flow order; EIA matches never materialise
+    /// the record unless telemetry samples it, and suspects run the same
+    /// `suspect_path` the per-flow entry uses. If
     /// a suspect's sighting adopts a prefix mid-batch, the precomputed
     /// verdicts are stale for the remaining flows, so they fall back to
     /// live per-flow classification: a later flow from the adopted range

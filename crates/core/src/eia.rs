@@ -71,8 +71,9 @@ impl EiaVerdict {
 }
 
 /// A point-in-time view of the EIA sets as a frozen multi-bit-stride LPM
-/// ([`FrozenLpm`]): a direct /16 root table plus stride-8 nodes, so every
-/// classification costs at most three memory touches instead of up to 32
+/// ([`FrozenLpm`]): a direct /16 root table plus stride-8 nodes, so a
+/// classification is a chain of two to six dependent loads (`root → nodes
+/// → leaves → nodes → leaves → values` at its longest) instead of up to 32
 /// binary-trie node hops.
 ///
 /// A running [`crate::ConcurrentAnalyzer`] keeps its EIA table in this
@@ -107,15 +108,16 @@ impl EiaSnapshot {
 
     /// Classifies a whole source-address column observed at one ingress,
     /// replacing `out` with one verdict per address (same order). This is
-    /// the grouped phase-A walk of the batch hot path: no sort is needed,
-    /// because a frozen lookup costs the same for any input order.
+    /// the grouped phase-A walk of the batch hot path: the column goes
+    /// through [`FrozenLpm::lookup_values`] a level at a time, so the
+    /// lookups of one datagram overlap their cache misses; no sort is
+    /// needed.
     pub fn classify_batch_into(&self, observed: PeerId, src: &[u32], out: &mut Vec<EiaVerdict>) {
         out.clear();
         out.reserve(src.len());
-        out.extend(
-            src.iter()
-                .map(|&bits| verdict_for(self.lpm.lookup_value_bits(bits).copied(), observed)),
-        );
+        self.lpm.lookup_values(src, |_, expected| {
+            out.push(verdict_for(expected.copied(), observed));
+        });
     }
 
     /// Number of prefixes across all EIA sets at snapshot time.
@@ -444,7 +446,7 @@ impl EiaRegistry {
 
     /// Compiles the current EIA sets into a snapshot: the dynamic trie is
     /// flattened into a [`FrozenLpm`] so every subsequent classification
-    /// costs a constant number of memory touches. A full, canonical
+    /// is a chain of at most six dependent loads. A full, canonical
     /// compile — O(table) — for boot, warm restore and reload; the engine
     /// folds later adoptions into the snapshot it already published
     /// instead of calling this.
@@ -596,20 +598,45 @@ mod tests {
     fn snapshot_batch_classification_matches_scalar() {
         let mut r = registry();
         r.preload(PeerId(2), "3.1.2.0/24".parse().unwrap());
-        let snap = r.snapshot();
-        let src: Vec<u32> = ["3.0.5.5", "3.40.5.5", "3.1.2.9", "3.1.3.9", "200.1.1.1"]
-            .iter()
-            .map(|s| u32::from(addr(s)))
+        r.preload(PeerId(1), "3.1.2.128/25".parse().unwrap());
+        let mut snap = r.snapshot();
+        // Longer than one chunk of the column walk, every kind of lane in
+        // each: root hits, a depth-16 run, a depth-24 run, unmatched space.
+        // Its first three addresses are a column short enough for the
+        // scalar walk instead.
+        let kinds = [
+            "3.0.5.5",
+            "3.40.5.5",
+            "3.1.2.9",
+            "3.1.2.200",
+            "3.1.3.9",
+            "200.1.1.1",
+        ];
+        let src: Vec<u32> = (0..67)
+            .map(|i| u32::from(addr(kinds[i % 6])) + (i / 6) as u32)
             .collect();
         let mut out = Vec::new();
-        for peer in [PeerId(1), PeerId(2)] {
-            snap.classify_batch_into(peer, &src, &mut out);
-            assert_eq!(out.len(), src.len());
-            for (i, &bits) in src.iter().enumerate() {
-                let a = Ipv4Addr::from(bits);
-                assert_eq!(out[i], snap.classify(peer, a), "snapshot scalar {a}");
-                assert_eq!(out[i], snap.classify_bits(peer, bits));
-                assert_eq!(out[i], r.classify(peer, a), "registry oracle {a}");
+        for adopted in [false, true] {
+            if adopted {
+                // The engine's write path: patched in, garbage left behind.
+                let host = "3.1.2.9/32".parse().unwrap();
+                snap.adopt(host, PeerId(1));
+                r.apply_adoption(PeerId(1), host);
+                assert!(snap.classify(PeerId(1), addr("3.1.2.9")).is_match());
+            }
+            for (peer, src) in [
+                (PeerId(1), &src[..]),
+                (PeerId(2), &src[..]),
+                (PeerId(1), &src[..3]),
+            ] {
+                snap.classify_batch_into(peer, src, &mut out);
+                assert_eq!(out.len(), src.len());
+                for (i, &bits) in src.iter().enumerate() {
+                    let a = Ipv4Addr::from(bits);
+                    assert_eq!(out[i], snap.classify(peer, a), "snapshot scalar {a}");
+                    assert_eq!(out[i], snap.classify_bits(peer, bits));
+                    assert_eq!(out[i], r.classify(peer, a), "registry oracle {a}");
+                }
             }
         }
         assert!(snap.approx_bytes() > 0);

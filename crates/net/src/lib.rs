@@ -11,9 +11,9 @@
 //! * [`PrefixTrie`] — a binary trie keyed by prefixes with longest-prefix
 //!   matching, the substrate for EIA sets and BGP RIBs.
 //! * [`FrozenLpm`] — a multi-bit-stride compilation of a trie (direct /16
-//!   root table + stride-8 nodes) for read-mostly hot paths: ≤ 3 memory
-//!   touches per lookup instead of ≤ 32 node hops, patchable one prefix at
-//!   a time without recompiling.
+//!   root table + stride-8 nodes) for read-mostly hot paths: two to six
+//!   dependent loads per lookup instead of ≤ 32 node hops, patchable one
+//!   prefix at a time without recompiling.
 //! * [`FlatTable`] — a fixed-capacity `u64 → u32` counter table for state
 //!   keyed by attacker-chosen flow fields: never grows, never rehashes.
 //! * [`blocks`] — the Table 1 block scheme and the `1a..125h` notation.

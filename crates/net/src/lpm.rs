@@ -12,6 +12,15 @@ const CHILD_FLAG: u32 = 0x8000_0000;
 /// Leaf result meaning "no stored prefix covers this address".
 const NO_MATCH: u32 = 0x7FFF_FFFF;
 
+/// Addresses [`FrozenLpm::lookup_values`] walks abreast.
+const LANES: usize = 32;
+
+/// Below this many addresses a column takes the scalar walk: the level
+/// passes cost a fixed set-up per chunk and need several lanes' misses in
+/// flight to win it back (`BENCH_lpm.json`'s `frozen_batch_short` row holds
+/// the scalar side of the line; DESIGN §17 "Column walk" has the sweep).
+const SHORT_COLUMN: usize = 6;
+
 /// A frozen, cache-dense longest-prefix-match structure compiled from a
 /// [`PrefixTrie`].
 ///
@@ -21,8 +30,14 @@ const NO_MATCH: u32 = 0x7FFF_FFFF;
 /// remaining bits resolve through at most two stride-8 nodes laid out in
 /// contiguous arrays (tree-bitmap style: a 256-bit child bitmap selects
 /// sub-nodes, a 256-bit run bitmap compresses the leaf-pushed results).
-/// Any IPv4 lookup therefore costs at most three table touches before the
-/// final value read, regardless of how many prefixes are stored.
+/// The longest chain is six dependent loads over four arrays, however many
+/// prefixes are stored: `root → nodes → leaves → nodes → leaves → values`
+/// for an address under a prefix longer than /24, four (`root → nodes →
+/// leaves → values`) under a /17–/24, two (`root → values`) otherwise. A
+/// node is 80 bytes; visiting one is a load of it, one popcount (a dozen
+/// ALU operations: the baseline x86-64 build has no `popcnt` instruction)
+/// and a load from `leaves` — about 8 ns with the whole table in L1, which
+/// the memory of a 100 000-prefix table roughly doubles.
 ///
 /// The intended pattern: fill a [`PrefixTrie`], build the table readers
 /// classify against with [`FrozenLpm::compile`] (boot, reload), and drop
@@ -92,12 +107,19 @@ fn key(p: Prefix) -> (u32, u8) {
 /// `leaf_bitmap` bits at or below the slot: a set bit marks the start of a
 /// run of equal leaf-pushed results, so only run boundaries are stored.
 /// Bit 0 of `leaf_bitmap` is always set, making every leaf rank ≥ 1.
+///
+/// `child_before[w]` and `leaf_before[w]` are the set bits of the bitmap's
+/// words below `w` (≤ 192, so a byte each), so a rank is one table read
+/// plus the popcount of one masked word ([`LpmNode::locate`]) instead of
+/// a popcount per word. 80 bytes in all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct LpmNode {
     child_bitmap: [u64; 4],
     leaf_bitmap: [u64; 4],
     child_base: u32,
     leaf_base: u32,
+    child_before: [u8; 4],
+    leaf_before: [u8; 4],
 }
 
 /// A prefix flattened for compilation: `(network bits, length, result)`.
@@ -360,7 +382,8 @@ impl<V> FrozenLpm<V> {
         self.resolve_index(bits).map(|i| &self.values[i])
     }
 
-    /// The index of the most specific stored prefix containing `bits`.
+    /// The scalar walk: the index of the most specific stored prefix
+    /// containing `bits`, one dependent load after another.
     #[inline]
     fn resolve_index(&self, bits: u32) -> Option<usize> {
         let mut entry = self.root[(bits >> 16) as usize];
@@ -382,16 +405,74 @@ impl<V> FrozenLpm<V> {
         }
     }
 
-    /// Resolves a whole source-address column, invoking `found(i, result)`
-    /// for each address in order — the batch feed for grouped phase-A
-    /// classification. No sort is needed: every lookup is O(1) memory
-    /// touches, so input order does not affect cost.
-    pub fn lookup_batch<'a, F>(&'a self, addrs: &[u32], mut found: F)
+    /// The column walk: what [`FrozenLpm::resolve_index`] finds for up to
+    /// [`LANES`] addresses at once (a leaf result each: an index into
+    /// `values`, or [`NO_MATCH`]), a level at a time — every lane's root
+    /// read, then for each of the two node levels the lanes still holding
+    /// a child pointer are compacted, ranked within their nodes and read
+    /// from the leaf array, each in a pass of its own. The loads of one
+    /// pass do not depend on each other, so their cache misses overlap
+    /// where the scalar walk waits out each lane's chain before starting
+    /// the next.
+    fn resolve_entries(&self, addrs: &[u32], entries: &mut [u32]) {
+        // Only what a pass wrote is read back.
+        let mut descending = [0u8; LANES];
+        let mut located = [0u32; LANES];
+        for (entry, &bits) in entries.iter_mut().zip(addrs) {
+            *entry = self.root[(bits >> 16) as usize];
+        }
+        for shift in [8, 0] {
+            // Branch-free compaction: every lane writes its number, the
+            // cursor advances past it only if the lane descends.
+            let mut count = 0;
+            for (lane, entry) in entries.iter().enumerate() {
+                descending[count] = lane as u8;
+                count += (entry >> 31) as usize;
+            }
+            if count == 0 {
+                break;
+            }
+            let descending = &descending[..count];
+            for (at, &lane) in located.iter_mut().zip(descending) {
+                let lane = usize::from(lane);
+                let node = &self.nodes[(entries[lane] & !CHILD_FLAG) as usize];
+                *at = node.locate((addrs[lane] >> shift) & 0xFF);
+            }
+            for (&at, &lane) in located.iter().zip(descending) {
+                entries[usize::from(lane)] = settle(at, &self.leaves);
+            }
+        }
+    }
+
+    /// Value-only lookup of a whole source-address column: `found(i,
+    /// result)` is invoked once per address, in order, with what
+    /// [`FrozenLpm::lookup_value_bits`] returns for it — the batch feed of
+    /// the grouped phase-A classification. No sort is needed and nothing
+    /// is allocated.
+    ///
+    /// The column is taken 32 addresses at a time (a NetFlow v5 datagram's
+    /// 30 records are one chunk) and each chunk walked by level, so the
+    /// cache misses of its lookups overlap. A column shorter than six
+    /// addresses — a timeout-flushed exporter's datagram of one to three
+    /// records — has nothing to overlap and takes the scalar walk instead.
+    pub fn lookup_values<'a, F>(&'a self, addrs: &[u32], mut found: F)
     where
-        F: FnMut(usize, Option<(Prefix, &'a V)>),
+        F: FnMut(usize, Option<&'a V>),
     {
-        for (i, &bits) in addrs.iter().enumerate() {
-            found(i, self.lookup_bits(bits));
+        if addrs.len() < SHORT_COLUMN {
+            for (i, &bits) in addrs.iter().enumerate() {
+                found(i, self.lookup_value_bits(bits));
+            }
+            return;
+        }
+        for (chunk, addrs) in addrs.chunks(LANES).enumerate() {
+            let mut entries = [NO_MATCH; LANES];
+            let entries = &mut entries[..addrs.len()];
+            self.resolve_entries(addrs, entries);
+            for (lane, &entry) in entries.iter().enumerate() {
+                let value = (entry != NO_MATCH).then(|| &self.values[entry as usize]);
+                found(chunk * LANES + lane, value);
+            }
         }
     }
 
@@ -462,37 +543,78 @@ impl<V: Clone> From<&PrefixTrie<V>> for FrozenLpm<V> {
 
 impl LpmNode {
     fn placeholder() -> LpmNode {
+        LpmNode::new([0; 4], [0; 4], 0, 0)
+    }
+
+    /// A node over the two bitmaps, with their cumulative counts.
+    fn new(
+        child_bitmap: [u64; 4],
+        leaf_bitmap: [u64; 4],
+        child_base: u32,
+        leaf_base: u32,
+    ) -> LpmNode {
         LpmNode {
-            child_bitmap: [0; 4],
-            leaf_bitmap: [0; 4],
-            child_base: 0,
-            leaf_base: 0,
+            child_bitmap,
+            leaf_bitmap,
+            child_base,
+            leaf_base,
+            child_before: ones_before(&child_bitmap),
+            leaf_before: ones_before(&leaf_bitmap),
         }
+    }
+
+    /// Where one slot (0..=255) leads: a child pointer (tagged with
+    /// [`CHILD_FLAG`]) or the index of its result in `leaves`. The one rank
+    /// routine of every lookup: one popcount and no loop, whichever word
+    /// the slot falls in.
+    #[inline]
+    fn locate(&self, slot: u32) -> u32 {
+        let word = (slot >> 6) as usize & 3;
+        let bit = slot & 63;
+        let is_child = (self.child_bitmap[word] >> bit) & 1 != 0;
+        // Both ranks are "set bits at or below the slot, less one": the
+        // slot's own child bit is set when the child rank is wanted, and
+        // leaf ranks are 1-based.
+        let (bitmap, before, base, tag) = if is_child {
+            (
+                &self.child_bitmap,
+                &self.child_before,
+                self.child_base,
+                CHILD_FLAG,
+            )
+        } else {
+            (&self.leaf_bitmap, &self.leaf_before, self.leaf_base, 0)
+        };
+        let at_or_below = u64::MAX >> (63 - bit);
+        let rank = u32::from(before[word]) + (bitmap[word] & at_or_below).count_ones();
+        tag | (base + rank - 1)
     }
 
     /// Resolves one slot: a child pointer (tagged) or the leaf result.
     #[inline]
     fn resolve(&self, slot: u32, leaves: &[u32]) -> u32 {
-        let word = (slot >> 6) as usize;
-        let bit = slot & 63;
-        let below = 1u64.wrapping_shl(bit) - 1;
-        if self.child_bitmap[word] & (1 << bit) != 0 {
-            let mut rank = (self.child_bitmap[word] & below).count_ones();
-            for w in 0..word {
-                rank += self.child_bitmap[w].count_ones();
-            }
-            CHILD_FLAG | (self.child_base + rank)
-        } else {
-            // Run-start ranks: bits at or below the slot. Bit 0 is always
-            // set, so the rank is ≥ 1 for every slot.
-            let mut rank = (self.leaf_bitmap[word] & below).count_ones();
-            rank += ((self.leaf_bitmap[word] >> bit) & 1) as u32;
-            for w in 0..word {
-                rank += self.leaf_bitmap[w].count_ones();
-            }
-            leaves[(self.leaf_base + rank - 1) as usize]
-        }
+        settle(self.locate(slot), leaves)
     }
+}
+
+/// What [`LpmNode::locate`] found, read: a child pointer stays as it is, a
+/// leaf index becomes the result stored there.
+#[inline]
+fn settle(at: u32, leaves: &[u32]) -> u32 {
+    if at & CHILD_FLAG != 0 {
+        at
+    } else {
+        leaves[at as usize]
+    }
+}
+
+/// Set bits of `bitmap` in the words below each word.
+fn ones_before(bitmap: &[u64; 4]) -> [u8; 4] {
+    let mut before = [0u8; 4];
+    for w in 1..4 {
+        before[w] = before[w - 1] + bitmap[w - 1].count_ones() as u8;
+    }
+    before
 }
 
 /// Fills every queued node, and the children each one queues in turn.
@@ -581,12 +703,7 @@ fn fill_node(
         }
     }
 
-    nodes[node as usize] = LpmNode {
-        child_bitmap,
-        leaf_bitmap,
-        child_base,
-        leaf_base,
-    };
+    nodes[node as usize] = LpmNode::new(child_bitmap, leaf_bitmap, child_base, leaf_base);
 }
 
 #[cfg(test)]
@@ -692,20 +809,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_batch_matches_scalar_lookups() {
-        let (_, lpm) = frozen(&[("0.0.0.0/0", 0), ("3.0.0.0/11", 1), ("3.33.0.9/32", 2)]);
-        let addrs: Vec<u32> = vec![0x0300_0101, 0x0321_0009, 0xC000_0001, 0x0321_0008];
-        let mut got = Vec::new();
-        lpm.lookup_batch(&addrs, |i, r| got.push((i, r.map(|(_, v)| *v))));
-        let want: Vec<(usize, Option<u32>)> = addrs
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (i, lpm.lookup_bits(b).map(|(_, v)| *v)))
-            .collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn compile_reflects_later_trie_state_only_on_recompile() {
         let mut trie = PrefixTrie::new();
         trie.insert(p("7.0.0.0/8"), 1u32);
@@ -726,19 +829,89 @@ mod tests {
         assert!(lpm.approx_bytes() < ROOT_SLOTS * 4 + 4096);
     }
 
-    #[test]
-    fn dense_sibling_runs_compress() {
-        // 256 adjacent /24s under one /16 collapse into one depth-16 node
-        // with 256 runs — and no depth-24 nodes at all.
+    /// 256 adjacent /24s under `10.10.0.0/16`, the i-th holding `i`.
+    fn dense_siblings() -> FrozenLpm<u32> {
         let mut trie = PrefixTrie::new();
         for i in 0..256u32 {
             trie.insert(Prefix::new(Ipv4Addr::from(0x0A0A_0000 + (i << 8)), 24), i);
         }
-        let lpm = FrozenLpm::compile(&trie);
+        FrozenLpm::compile(&trie)
+    }
+
+    #[test]
+    fn dense_sibling_runs_compress() {
+        // 256 adjacent /24s under one /16 collapse into one depth-16 node
+        // with 256 runs — and no depth-24 nodes at all.
+        let lpm = dense_siblings();
         assert_eq!(lpm.node_count(), 1);
         for i in 0..256u32 {
             let addr = Ipv4Addr::from(0x0A0A_0000 + (i << 8) + 77);
             assert_eq!(lpm.lookup(addr).map(|(_, v)| *v), Some(i));
+        }
+    }
+
+    /// The first and last slot of every bitmap word a cumulative count
+    /// changes at.
+    const WORD_EDGES: [u32; 6] = [0, 63, 64, 191, 192, 255];
+
+    /// [`LpmNode::locate`] the slow way: one bit at a time.
+    fn locate_by_counting(node: &LpmNode, slot: u32) -> u32 {
+        let set = |bitmap: &[u64; 4], s: u32| (bitmap[(s >> 6) as usize] >> (s & 63)) & 1 != 0;
+        if set(&node.child_bitmap, slot) {
+            let below = (0..slot).filter(|&s| set(&node.child_bitmap, s)).count();
+            CHILD_FLAG | (node.child_base + below as u32)
+        } else {
+            let up_to = (0..=slot).filter(|&s| set(&node.leaf_bitmap, s)).count();
+            node.leaf_base + up_to as u32 - 1
+        }
+    }
+
+    #[test]
+    fn locate_ranks_a_node_of_256_runs() {
+        let lpm = dense_siblings();
+        let node = &lpm.nodes[0];
+        assert_eq!(node.leaf_before, [0, 64, 128, 192]);
+        for slot in WORD_EDGES {
+            let at = node.locate(slot);
+            assert_eq!(at, node.leaf_base + slot, "slot {slot} is its own run");
+            assert_eq!(lpm.values[lpm.leaves[at as usize] as usize], slot);
+        }
+        for slot in 0..256 {
+            assert_eq!(node.locate(slot), locate_by_counting(node, slot));
+        }
+    }
+
+    #[test]
+    fn locate_ranks_children_in_every_word() {
+        // A host route under each edge slot of `10.10.0.0/16`: six
+        // children, at least one per bitmap word, over the single run of
+        // the covering /16's result.
+        let mut trie = PrefixTrie::new();
+        trie.insert(p("10.10.0.0/16"), 1000u32);
+        for slot in WORD_EDGES {
+            trie.insert(
+                Prefix::host(Ipv4Addr::from(0x0A0A_0001 + (slot << 8))),
+                slot,
+            );
+        }
+        let lpm = FrozenLpm::compile(&trie);
+        let node = &lpm.nodes[(lpm.root[0x0A0A] & !CHILD_FLAG) as usize];
+        assert_eq!(node.child_before, [0, 2, 3, 4]);
+        for (rank, slot) in WORD_EDGES.into_iter().enumerate() {
+            assert_eq!(
+                node.locate(slot),
+                CHILD_FLAG | (node.child_base + rank as u32)
+            );
+            let host = Ipv4Addr::from(0x0A0A_0001 + (slot << 8));
+            assert_eq!(lpm.lookup(host).map(|(_, v)| *v), Some(slot));
+            assert_parity(&trie, &lpm, Ipv4Addr::from(u32::from(host) + 1));
+        }
+        for slot in 0..256 {
+            assert_eq!(node.locate(slot), locate_by_counting(node, slot));
+            assert_eq!(
+                node.resolve(slot, &lpm.leaves) & CHILD_FLAG == 0,
+                !WORD_EDGES.contains(&slot)
+            );
         }
     }
 }

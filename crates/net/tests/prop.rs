@@ -89,6 +89,29 @@ fn assert_patched_matches_compiled(table: Inserts, inserts: Inserts) {
     }
 }
 
+/// Holds [`FrozenLpm::lookup_values`] over `column` — and over its first
+/// 0, 1, 5, 6, 7, 31, 32, 33, 64 and 65 addresses, the lengths around the
+/// short-column cut-off (6) and the chunk boundaries — to
+/// [`FrozenLpm::lookup_value_bits`] and to the trie.
+fn assert_column_matches_scalar(lpm: &FrozenLpm<u32>, trie: &PrefixTrie<u32>, column: &[u32]) {
+    for n in [0, 1, 5, 6, 7, 31, 32, 33, 64, 65, column.len()] {
+        let column = &column[..n.min(column.len())];
+        let mut got = Vec::new();
+        lpm.lookup_values(column, |i, value| got.push((i, value.copied())));
+        assert_eq!(got.len(), column.len(), "one call per address");
+        for (at, (&bits, (i, got))) in column.iter().zip(got).enumerate() {
+            let addr = Ipv4Addr::from(bits);
+            assert_eq!(i, at, "in order");
+            assert_eq!(
+                got,
+                lpm.lookup_value_bits(bits).copied(),
+                "scalar at {addr}"
+            );
+            assert_eq!(got, trie.lookup(addr).map(|(_, v)| *v), "trie at {addr}");
+        }
+    }
+}
+
 /// Oracle: linear scan for the most specific containing prefix.
 fn naive_lpm(table: &HashMap<Prefix, u32>, addr: Ipv4Addr) -> Option<(Prefix, u32)> {
     table
@@ -200,14 +223,40 @@ proptest! {
                 trie.lookup(addr).map(|(p, v)| (p, *v))
             );
         }
-        // The batch API agrees with scalar lookups, by index.
-        let mut batched: Vec<Option<u32>> = Vec::new();
-        lpm.lookup_batch(&probes, |_, r| batched.push(r.map(|(_, v)| *v)));
-        let scalar: Vec<Option<u32>> = probes
+        assert_column_matches_scalar(&lpm, &trie, &probes);
+    }
+
+    /// One /16 crowded with /17–/32 prefixes (so depth-16 and depth-24
+    /// nodes, children and runs side by side), with or without a default
+    /// route (so unmatched space, or none), probed by columns of 0–100
+    /// addresses inside the cluster and far from it: on the compiled
+    /// table, then after every insert — each leaves the slot's old subtree
+    /// behind as garbage, and every other one or so triggers the
+    /// self-compaction that drops it.
+    #[test]
+    fn column_lookup_matches_scalar_and_trie(
+        default_route in any::<bool>(),
+        base in any::<u32>(),
+        table in proptest::collection::vec((any::<u16>(), 17u8..=32, any::<u32>()), 0..32),
+        inserts in proptest::collection::vec((any::<u16>(), 17u8..=32, any::<u32>()), 0..12),
+        probes in proptest::collection::vec((any::<u32>(), any::<bool>()), 0..=100),
+    ) {
+        let near = |delta: u16, len: u8| Prefix::new(Ipv4Addr::from(base ^ u32::from(delta)), len);
+        let mut trie: PrefixTrie<u32> = table.iter().map(|&(d, len, v)| (near(d, len), v)).collect();
+        if default_route {
+            trie.insert(Prefix::new(Ipv4Addr::from(0), 0), u32::MAX);
+        }
+        let column: Vec<u32> = probes
             .iter()
-            .map(|&b| lpm.lookup_bits(b).map(|(_, v)| *v))
+            .map(|&(bits, far)| if far { bits } else { base ^ (bits & 0xFFFF) })
             .collect();
-        prop_assert_eq!(batched, scalar);
+        let mut lpm = FrozenLpm::compile(&trie);
+        assert_column_matches_scalar(&lpm, &trie, &column);
+        for (delta, len, value) in inserts {
+            lpm.insert(near(delta, len), value);
+            trie.insert(near(delta, len), value);
+            assert_column_matches_scalar(&lpm, &trie, &column);
+        }
     }
 
     #[test]
